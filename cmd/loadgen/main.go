@@ -260,6 +260,8 @@ type report struct {
 	Admits     uint64 `json:"admits"`
 	AddRejects uint64 `json:"add_rejects"`
 
+	// The per-second rates count only requests scheduled after -warmup;
+	// the totals above count every request.
 	RequestsPerSec float64 `json:"requests_per_sec"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	AdmitsPerSec   float64 `json:"admits_per_sec"`
@@ -350,6 +352,14 @@ type tstat struct {
 	recovered  uint64
 	good       uint64
 	dmiss      uint64
+
+	win window // the measured-window share of the counters above
+}
+
+// window counts what the per-second rates divide by post-warmup time:
+// only requests scheduled at or after the end of the warmup.
+type window struct {
+	reqs, events, admits, good uint64
 }
 
 type worker struct {
@@ -596,16 +606,25 @@ func run() int {
 					}
 				}
 				ti := int(n % uint64(len(targets)))
+				s := &w.per[ti]
+				admitsBefore := s.admits
 				landed := w.send(client, ti, endpoints[ti], *batch, payloads[n%uint64(len(payloads))], *retries, *retryMax, deadline)
 				lat := time.Since(sched)
-				if sched.After(measureFrom) {
-					w.per[ti].h.record(lat)
+				measured := !sched.Before(measureFrom)
+				if measured {
+					s.h.record(lat)
+					s.win.reqs++
+					s.win.events += uint64(*batch)
+					s.win.admits += s.admits - admitsBefore
 				}
 				if landed && deadline > 0 {
 					if lat <= deadline {
-						w.per[ti].good++
+						s.good++
+						if measured {
+							s.win.good++
+						}
 					} else {
-						w.per[ti].dmiss++
+						s.dmiss++
 					}
 				}
 			}
@@ -623,6 +642,7 @@ func run() int {
 		DeadlineMs: *deadlineMs,
 	}
 	h := newHist()
+	var win window
 	for ti, t := range targets {
 		th := newHist()
 		tr := targetReport{URL: t}
@@ -651,6 +671,10 @@ func run() int {
 			rep.Recovered += s.recovered
 			rep.Goodput += s.good
 			rep.DeadlineMisses += s.dmiss
+			win.reqs += s.win.reqs
+			win.events += s.win.events
+			win.admits += s.win.admits
+			win.good += s.win.good
 		}
 		tr.Latency = latencyOf(th)
 		h.merge(th)
@@ -658,11 +682,13 @@ func run() int {
 			rep.Targets = append(rep.Targets, tr)
 		}
 	}
-	rep.RequestsPerSec = float64(rep.Requests) / elapsed.Seconds()
-	rep.EventsPerSec = float64(rep.Events) / elapsed.Seconds()
-	rep.AdmitsPerSec = float64(rep.Admits) / elapsed.Seconds()
+	// Rates divide the measured window's counts by its length; the totals
+	// above include the warmup.
+	rep.RequestsPerSec = float64(win.reqs) / elapsed.Seconds()
+	rep.EventsPerSec = float64(win.events) / elapsed.Seconds()
+	rep.AdmitsPerSec = float64(win.admits) / elapsed.Seconds()
 	if deadline > 0 {
-		rep.GoodputPerSec = float64(rep.Goodput) / elapsed.Seconds()
+		rep.GoodputPerSec = float64(win.good) / elapsed.Seconds()
 	}
 	rep.Latency = latencyOf(h)
 	for _, t := range targets {

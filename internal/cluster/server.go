@@ -729,16 +729,20 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	// alias the decoder scratch, so it is recycled only after the engine's
 	// reply — and leaked to the GC on timeout, as in the single-node path.
 	d := serve.GetDecoder()
+	engineMayRead := false // set when the handler stops waiting on the engine
+	defer func() {
+		if !engineMayRead {
+			serve.PutDecoder(d)
+		}
+	}()
 	evs, err := d.Decode(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		serve.PutDecoder(d)
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding event: %v", err))
 		return
 	}
 	ev := evs[0]
 	ev.Epoch = 0 // each shard engine stamps its live epoch
 	if err := ev.Validate(); err != nil {
-		serve.PutDecoder(d)
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -747,7 +751,6 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	reply := make(chan sreply, len(s.queues))
 	expect, synth, sick, shedErr, shedded := s.routeIn(ev, 0, reply, deadline)
 	if shedded {
-		serve.PutDecoder(d)
 		s.shed.Add(1)
 		switch {
 		case sick >= 0:
@@ -766,9 +769,8 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if synth != nil {
-		serve.PutDecoder(d)
 		s.rejected.Add(1)
-		writeEntry(w, http.StatusConflict, decisionEntry{Shard: -1, Decision: synth.dec, Error: synth.err.Error()})
+		writeEntry(w, d, http.StatusConflict, decisionEntry{Shard: -1, Decision: synth.dec, Error: synth.err.Error()})
 		return
 	}
 
@@ -783,7 +785,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		select {
 		case rep := <-reply:
 			if rep.fatal {
-				serve.PutDecoder(d)
+				engineMayRead = true // other legs of a broadcast may not have replied
 				httpError(w, http.StatusInternalServerError, rep.err.Error())
 				return
 			}
@@ -791,12 +793,12 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 				got = rep
 			}
 		case <-ctx.Done():
+			engineMayRead = true
 			s.shed.Add(1)
 			s.unavailable(w, "engine saturated; accepted admission still pending")
 			return
 		}
 	}
-	serve.PutDecoder(d)
 	if errors.Is(got.err, ErrShardFailed) || errors.Is(got.err, ErrShardSlow) {
 		// The owning shard exhausted its containment budget (or fell over
 		// the latency SLO) mid-request: retryable partition-scoped
@@ -817,7 +819,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusConflict
 		out.Error = got.err.Error()
 	}
-	writeEntry(w, status, out)
+	writeEntry(w, d, status, out)
 }
 
 func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
@@ -826,24 +828,24 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, "not ready")
 		return
 	}
-	var evs []runtime.Event
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&evs); err != nil {
+	// Pooled decode; the routed events' Task/Overload payloads alias the
+	// decoder scratch, so it is recycled only after every engine reply —
+	// and leaked to the GC on timeout, as in /admit.
+	d := serve.GetDecoder()
+	engineMayRead := false // set when the handler stops waiting on the engine
+	defer func() {
+		if !engineMayRead {
+			serve.PutDecoder(d)
+		}
+	}()
+	evs, err := d.DecodeBatch(http.MaxBytesReader(w, r.Body, 4<<20), s.opt.MaxBatchEvents)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding events: %v", err))
 		return
 	}
-	if len(evs) > s.opt.MaxBatchEvents {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d events exceeds the %d-event limit", len(evs), s.opt.MaxBatchEvents))
-		return
-	}
-	out := struct {
-		Decisions []decisionEntry `json:"decisions"`
-	}{Decisions: make([]decisionEntry, len(evs))}
+	out := make([]decisionEntry, len(evs))
 	if len(evs) == 0 {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		d.WriteJSON(w, http.StatusOK, append(d.ReplyBuf(), `{"decisions":[]}`+"\n"...))
 		return
 	}
 
@@ -853,7 +855,7 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range evs {
 		evs[i].Epoch = 0
 		if err := evs[i].Validate(); err != nil {
-			out.Decisions[i] = decisionEntry{Shard: -1, Decision: runtime.Decision{Op: evs[i].Op}, Error: err.Error()}
+			out[i] = decisionEntry{Shard: -1, Decision: runtime.Decision{Op: evs[i].Op}, Error: err.Error()}
 			continue
 		}
 		n, synth, sick, shedErr, shedded := s.routeIn(evs[i], i, reply, deadline)
@@ -876,10 +878,10 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 			case shedErr != nil:
 				msg = "load shed: " + shedErr.Error()
 			}
-			out.Decisions[i] = decisionEntry{Shard: -1, Decision: runtime.Decision{Op: evs[i].Op}, Error: msg}
+			out[i] = decisionEntry{Shard: -1, Decision: runtime.Decision{Op: evs[i].Op}, Error: msg}
 		case synth != nil:
 			s.rejected.Add(1)
-			out.Decisions[i] = decisionEntry{Shard: -1, Decision: synth.dec, Error: synth.err.Error()}
+			out[i] = decisionEntry{Shard: -1, Decision: synth.dec, Error: synth.err.Error()}
 		default:
 			expect += n
 		}
@@ -891,11 +893,12 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
-	seen := make(map[int]bool)
+	seen := make([]bool, len(evs))
 	for got := 0; got < expect; got++ {
 		select {
 		case rep := <-reply:
 			if rep.fatal {
+				engineMayRead = true // engines yet to reply may be reading routed events
 				httpError(w, http.StatusInternalServerError, rep.err.Error())
 				return
 			}
@@ -910,25 +913,53 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 			if rep.err != nil {
 				e.Error = rep.err.Error()
 			}
-			out.Decisions[rep.pos] = e
+			out[rep.pos] = e
 		case <-ctx.Done():
+			engineMayRead = true
 			s.shed.Add(1)
 			s.unavailable(w, "engine saturated; accepted batch still pending")
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	body := append(d.ReplyBuf(), `{"decisions":[`...)
+	for i := range out {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if body, err = out[i].appendJSON(body); err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+	}
+	d.WriteJSON(w, http.StatusOK, append(body, "]}\n"...))
 }
 
-func writeEntry(w http.ResponseWriter, status int, e decisionEntry) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(e)
+// appendJSON appends the entry as compact JSON, byte-identical to
+// json.Marshal of the struct.
+func (e *decisionEntry) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"shard":`...)
+	b = strconv.AppendInt(b, int64(e.Shard), 10)
+	b = append(b, `,"decision":`...)
+	b, err := e.Decision.AppendJSON(b)
+	if err != nil {
+		return b, err
+	}
+	if e.Error != "" {
+		b = append(b, `,"error":`...)
+		b = runtime.AppendJSONString(b, e.Error)
+	}
+	return append(b, '}'), nil
+}
+
+// writeEntry answers a single /admit with one compact entry, encoded into
+// the request's pooled decoder buffer.
+func writeEntry(w http.ResponseWriter, d *serve.Decoder, status int, e decisionEntry) {
+	body, err := e.appendJSON(d.ReplyBuf())
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	d.WriteJSON(w, status, append(body, '\n'))
 }
 
 // unavailable writes a generic load-shedding 503: Retry-After in whole

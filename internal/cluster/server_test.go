@@ -210,6 +210,10 @@ func TestServerBatchAdmit(t *testing.T) {
 	if len(got.Decisions) != len(batch) {
 		t.Fatalf("%d decisions for %d events", len(got.Decisions), len(batch))
 	}
+	// The reply is compact: exactly json.Marshal of what it decodes to.
+	if want, _ := json.Marshal(got); out != string(want)+"\n" {
+		t.Errorf("batch reply is not compact json.Marshal output:\n got  %s\n want %s", out, want)
+	}
 	for i := 0; i < 3; i++ {
 		if got.Decisions[i].Error != "" || got.Decisions[i].Decision.Verdict == schedrt.Rejected {
 			t.Errorf("batch add %d failed: %+v", i, got.Decisions[i])

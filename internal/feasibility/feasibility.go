@@ -17,7 +17,7 @@ package feasibility
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"nprt/internal/task"
 )
@@ -67,24 +67,40 @@ const maxViolationsKept = 16
 // computes the scaling factors γ of §III. Tasks in the set are already
 // period-sorted by construction (task.New).
 func Check(s *task.Set, m task.Mode) Report {
-	n := s.Len()
-	rep := Report{Schedulable: true, ArgMinTask: -1}
+	var rep [1]Report
+	check(s, []task.Mode{m}, rep[:])
+	return rep[0]
+}
 
-	// Condition (1) and γ from it.
-	u := 0.0
-	for i := 0; i < n; i++ {
-		t := s.Task(i)
-		u += float64(wcet(t, m)) / float64(t.Period)
-	}
-	rep.Utilization = u
-	rep.GammaUtil = math.Inf(1)
-	if u > 0 {
-		rep.GammaUtil = 1 / u
-	}
-	rep.GammaMin = rep.GammaUtil
-	if u > 1 {
-		rep.Schedulable = false
-		rep.Violations = append(rep.Violations, Violation{Condition: 1, TaskIndex: -1, Util: u})
+// check runs Check once per mode, reps[k] for modes[k]. The condition-2
+// step points depend only on the periods, so each row's are built once
+// and scanned for every mode; each report is computed by exactly the
+// operations a lone Check performs, so it is bit-identical to one.
+func check(s *task.Set, modes []task.Mode, reps []Report) {
+	n := s.Len()
+	// Row-major WCET table: w[k*n+j] is task j's WCET in modes[k].
+	w := make([]task.Time, len(modes)*n)
+	for k, m := range modes {
+		rep := &reps[k]
+		*rep = Report{Schedulable: true, ArgMinTask: -1}
+
+		// Condition (1) and γ from it.
+		u := 0.0
+		for i := 0; i < n; i++ {
+			t := s.Task(i)
+			w[k*n+i] = wcet(t, m)
+			u += float64(w[k*n+i]) / float64(t.Period)
+		}
+		rep.Utilization = u
+		rep.GammaUtil = math.Inf(1)
+		if u > 0 {
+			rep.GammaUtil = 1 / u
+		}
+		rep.GammaMin = rep.GammaUtil
+		if u > 1 {
+			rep.Schedulable = false
+			rep.Violations = append(rep.Violations, Violation{Condition: 1, TaskIndex: -1, Util: u})
+		}
 	}
 
 	// Condition (2) and the γ_i^L family, evaluated only at the demand step
@@ -115,46 +131,42 @@ func Check(s *task.Set, m task.Mode) Report {
 				steps = append(steps, L)
 			}
 		}
-		sort.Slice(steps, func(a, b int) bool { return steps[a] < steps[b] })
-		uniq := steps[:1]
-		for _, L := range steps[1:] {
-			if L != uniq[len(uniq)-1] {
-				uniq = append(uniq, L)
-			}
-		}
-		for si, L := range uniq {
-			demand := wcet(ti, m)
-			for j := 0; j < i; j++ {
-				tj := s.Task(j)
-				demand += (L - 1) / tj.Period * wcet(tj, m)
-			}
-			if demand > L {
-				rep.Schedulable = false
-				// Every L' in [L, min(plateauEnd, demand−1)] violates with
-				// the same constant demand; emit them all, as the
-				// exhaustive scan would, up to the report cap.
-				end := ti.Period - 1
-				if si+1 < len(uniq) {
-					end = uniq[si+1] - 1
+		slices.Sort(steps)
+		uniq := slices.Compact(steps)
+		for k := range modes {
+			rep, wk := &reps[k], w[k*n:(k+1)*n]
+			for si, L := range uniq {
+				demand := wk[i]
+				for j := 0; j < i; j++ {
+					demand += (L - 1) / s.Task(j).Period * wk[j]
 				}
-				if v := demand - 1; v < end {
-					end = v
+				if demand > L {
+					rep.Schedulable = false
+					// Every L' in [L, min(plateauEnd, demand−1)] violates with
+					// the same constant demand; emit them all, as the
+					// exhaustive scan would, up to the report cap.
+					end := ti.Period - 1
+					if si+1 < len(uniq) {
+						end = uniq[si+1] - 1
+					}
+					if v := demand - 1; v < end {
+						end = v
+					}
+					for lv := L; lv <= end && len(rep.Violations) < maxViolationsKept; lv++ {
+						rep.Violations = append(rep.Violations,
+							Violation{Condition: 2, TaskIndex: i, L: lv, Demand: demand})
+					}
 				}
-				for lv := L; lv <= end && len(rep.Violations) < maxViolationsKept; lv++ {
-					rep.Violations = append(rep.Violations,
-						Violation{Condition: 2, TaskIndex: i, L: lv, Demand: demand})
-				}
-			}
-			if demand > 0 {
-				if g := float64(L) / float64(demand); g < rep.GammaMin {
-					rep.GammaMin = g
-					rep.ArgMinTask = i
-					rep.ArgMinL = L
+				if demand > 0 {
+					if g := float64(L) / float64(demand); g < rep.GammaMin {
+						rep.GammaMin = g
+						rep.ArgMinTask = i
+						rep.ArgMinL = L
+					}
 				}
 			}
 		}
 	}
-	return rep
 }
 
 // checkExhaustive is the original unit-stride Theorem-1 scan over every
@@ -219,8 +231,12 @@ func Schedulable(s *task.Set, m task.Mode) bool {
 // controller (internal/runtime) screens every Add/Remove against this pair:
 // accurate-pass means full admission, deepest-only-pass means admission in a
 // degraded (imprecision-reliant) regime, deepest-fail means rejection.
+// The two reports are bit-identical to Check(s, Accurate) and
+// Check(s, Deepest); the step points are built once for both.
 func Profiles(s *task.Set) (accurate, deepest Report) {
-	return Check(s, task.Accurate), Check(s, task.Deepest)
+	var reps [2]Report
+	check(s, []task.Mode{task.Accurate, task.Deepest}, reps[:])
+	return reps[0], reps[1]
 }
 
 // FastSchedulable evaluates Theorem 1 checking condition (2) only at its

@@ -2,6 +2,7 @@ package feasibility_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nprt/internal/feasibility"
@@ -311,4 +312,58 @@ func itoa(n int) string {
 		return "16"
 	}
 	return "64"
+}
+
+// Profiles shares each row's step points between its two modes; both
+// reports must still be exactly Check's (reflect.DeepEqual, violation
+// lists included) and the unit-stride oracle's, on random sets with ties,
+// infeasible draws and extra imprecision levels.
+func TestProfilesMatchesTwoChecks(t *testing.T) {
+	rnd := rand.New(rand.NewSource(29))
+	checked, infeasible := 0, 0
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rnd.Intn(6)
+		tasks := make([]task.Task, n)
+		for i := range tasks {
+			p := task.Time(3 + rnd.Intn(150))
+			if i > 0 && rnd.Intn(4) == 0 {
+				p = tasks[i-1].Period
+			}
+			w := task.Time(2 + rnd.Intn(int(p)))
+			if w > p {
+				w = p
+			}
+			x := 1 + task.Time(rnd.Intn(int(w-1)))
+			tk := task.Task{Name: "r", Period: p, WCETAccurate: w, WCETImprecise: x}
+			if x > 1 && rnd.Intn(3) == 0 {
+				tk.ExtraLevels = []task.Level{{WCET: 1 + task.Time(rnd.Intn(int(x-1)))}}
+			}
+			tasks[i] = tk
+		}
+		s, err := task.New(tasks)
+		if err != nil {
+			continue
+		}
+		checked++
+		acc, deep := feasibility.Profiles(s)
+		if !deep.Schedulable {
+			infeasible++
+		}
+		for _, c := range []struct {
+			got  feasibility.Report
+			mode task.Mode
+		}{{acc, task.Accurate}, {deep, task.Deepest}} {
+			if want := feasibility.Check(s, c.mode); !reflect.DeepEqual(c.got, want) {
+				t.Fatalf("trial %d mode %d: Profiles diverges from Check for %v:\n got %+v\nwant %+v",
+					trial, c.mode, tasks, c.got, want)
+			}
+			if want := feasibility.CheckExhaustive(s, c.mode); !reportsEqual(c.got, want) {
+				t.Fatalf("trial %d mode %d: Profiles diverges from the exhaustive oracle for %v",
+					trial, c.mode, tasks)
+			}
+		}
+	}
+	if checked < 500 || infeasible == 0 || infeasible == checked {
+		t.Fatalf("weak draw: %d sets checked, %d infeasible", checked, infeasible)
+	}
 }

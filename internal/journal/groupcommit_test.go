@@ -19,8 +19,8 @@ type fakeSink struct {
 	payloads [][]byte
 	appends  int
 	syncs    int
-	gate     chan struct{}         // when non-nil, every Sync blocks on a receive
-	syncErr  func(call int) error  // per-sync error injection (1-based call number)
+	gate     chan struct{}        // when non-nil, every Sync blocks on a receive
+	syncErr  func(call int) error // per-sync error injection (1-based call number)
 }
 
 func newFakeSink() *fakeSink { return &fakeSink{next: 1} }

@@ -60,6 +60,10 @@ func TestAdmitBatch(t *testing.T) {
 	if len(out.Decisions) != 4 {
 		t.Fatalf("%d decisions for 4 events: %s", len(out.Decisions), body)
 	}
+	// The reply is compact: exactly json.Marshal of what it decodes to.
+	if want, _ := json.Marshal(out); body != string(want)+"\n" {
+		t.Errorf("batch reply is not compact json.Marshal output:\n got  %s\n want %s", body, want)
+	}
 	for i, want := range []struct {
 		op    string
 		stale bool
@@ -87,10 +91,12 @@ func TestAdmitBatch(t *testing.T) {
 		t.Errorf("state missing commit stats: %+v", snap.Commit)
 	}
 
-	// An empty array is a no-op, not an error.
-	resp, body = post(t, ts.URL+"/admit/batch", []byte(`[]`))
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"decisions": []`) && !strings.Contains(body, `"decisions":[]`) {
-		t.Errorf("empty batch: %d %s", resp.StatusCode, body)
+	// An empty array or null is a no-op, not an error.
+	for _, empty := range []string{`[]`, `null`} {
+		resp, body = post(t, ts.URL+"/admit/batch", []byte(empty))
+		if resp.StatusCode != http.StatusOK || body != "{\"decisions\":[]}\n" {
+			t.Errorf("empty batch %s: %d %s", empty, resp.StatusCode, body)
+		}
 	}
 
 	// Over the event cap: rejected outright, nothing journaled.
@@ -109,7 +115,7 @@ func TestAdmitBatch(t *testing.T) {
 	}
 
 	// Malformed batch bodies.
-	for _, bad := range []string{`{"op": "add"}`, `[{"typo": 1}]`, `not json`} {
+	for _, bad := range []string{`{"op": "add"}`, `[{"typo": 1}]`, `not json`, `[] trailing`} {
 		resp, _ := post(t, ts.URL+"/admit/batch", []byte(bad))
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("batch %q: %d, want 400", bad, resp.StatusCode)

@@ -1,4 +1,4 @@
-// Zero-allocation Event decoding for the /admit hot path.
+// Zero-allocation Event decoding for the /admit and /admit/batch hot paths.
 //
 // encoding/json cannot decode an Event without allocating: every string
 // field, the nested TaskSpec, and the decoder's own state go through the
@@ -8,28 +8,36 @@
 //
 //   - the request body is read into a reused buffer,
 //   - the Event/TaskSpec/OverloadSpec targets are scratch structs owned
-//     by the decoder (the admit handler hands them to the engine and only
-//     recycles the decoder after the engine's reply),
+//     by the decoder, one set per batch index (the admit handlers hand
+//     them to the engine and only recycle the decoder after the engine's
+//     reply),
 //   - task/op names are interned in a bounded map — the no-alloc
 //     map[string(bytes)] lookup makes repeated names free,
 //   - numbers parse with an exact fast path (mantissa < 2^53, |exp10| ≤ 22
 //     multiplies/divides by an exactly-representable power of ten, which
 //     is correctly rounded); the rare hard cases fall back to
-//     strconv.ParseFloat.
+//     strconv.ParseFloat,
+//   - the decoder also owns the reply buffer the handler encodes into.
 //
-// Steady state on the hot path (known names, no ExtraLevels): 0 allocs/op,
-// enforced by testing.AllocsPerRun in decode_test.go.
+// Steady state on the hot path (known names, no ExtraLevels): 0 allocs per
+// event or batch, enforced by testing.AllocsPerRun in the package tests.
 //
-// Semantics follow the existing encoding/json handler: unknown fields are
-// rejected (DisallowUnknownFields), field names match ASCII
-// case-insensitively, null leaves the zero value, duplicate keys take the
-// last value. It is stricter about number syntax only where JSON itself is
-// (leading zeros, bare '.').
+// Semantics follow encoding/json with DisallowUnknownFields: unknown
+// fields are rejected, field names match case-insensitively (ASCII plus
+// the two non-ASCII runes that fold to ASCII letters, U+212A and U+017F),
+// null leaves the target unchanged (a null pointer or slice field becomes
+// nil, a null batch is empty), duplicate keys take the last value and
+// merge into an object or slice a previous duplicate filled. Beyond
+// encoding/json, trailing data after the value is an error. It is
+// stricter about number syntax only where JSON itself is (leading zeros,
+// bare '.').
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"sync"
 	"unicode/utf16"
@@ -49,19 +57,22 @@ type eventDecoder struct {
 	pos     int
 	scratch []byte // string-unescape scratch
 
-	one    []runtimepkg.Event // len 1; one[0] is the scratch Event
-	spec   runtimepkg.TaskSpec
-	over   runtimepkg.OverloadSpec
-	levels []task.Level
+	// Per-index scratch: evs[i] is the i-th decoded Event, and its Task
+	// and Overload point at specs[i] and overs[i]. The slices grow to the
+	// largest batch seen; a request that grows them mid-parse leaves its
+	// earlier events pointing into the previous arrays, which stay valid
+	// for as long as those events are referenced.
+	evs   []runtimepkg.Event
+	specs []runtimepkg.TaskSpec
+	overs []runtimepkg.OverloadSpec
+
+	reply []byte // reply-encoding scratch (ReplyBuf / WriteJSON)
 
 	names map[string]string
 }
 
 var decoderPool = sync.Pool{New: func() any {
-	d := &eventDecoder{
-		one:   make([]runtimepkg.Event, 1),
-		names: make(map[string]string, 64),
-	}
+	d := &eventDecoder{names: make(map[string]string, 64)}
 	// The op names every request carries.
 	for _, s := range []string{"add", "remove", "overload"} {
 		d.names[s] = s
@@ -74,8 +85,8 @@ func putDecoder(d *eventDecoder) { decoderPool.Put(d) }
 
 // Decoder is the pooled zero-allocation Event decoder, exported for the
 // sharded router (internal/cluster), which shares the /admit hot path. Get
-// a decoder per request, Decode, and Put it back only after the engine is
-// done with the returned scratch events.
+// a decoder per request, Decode or DecodeBatch, and Put it back only after
+// the engine is done with the returned scratch events.
 type Decoder = eventDecoder
 
 // GetDecoder takes a pooled decoder.
@@ -83,6 +94,10 @@ func GetDecoder() *Decoder { return getDecoder() }
 
 // PutDecoder recycles a decoder taken with GetDecoder.
 func PutDecoder(d *Decoder) { putDecoder(d) }
+
+// ErrBatchTooLarge is returned by DecodeBatch when the array holds more
+// events than the caller's limit; decoding stops at the first excess one.
+var ErrBatchTooLarge = errors.New("batch exceeds the event limit")
 
 // Decode reads r to EOF and parses one Event. The returned slice is the
 // decoder's scratch (always length 1): valid until the decoder is reused,
@@ -94,21 +109,96 @@ func (d *eventDecoder) Decode(r io.Reader) ([]runtimepkg.Event, error) {
 	return d.decodeBytes(d.buf)
 }
 
+// DecodeBatch reads r to EOF and parses a JSON array of at most max
+// Events (null is an empty batch). The returned slice is the decoder's
+// scratch, with the same lifetime rule as Decode.
+func (d *eventDecoder) DecodeBatch(r io.Reader, max int) ([]runtimepkg.Event, error) {
+	if err := d.readAll(r); err != nil {
+		return nil, err
+	}
+	return d.decodeBatchBytes(d.buf, max)
+}
+
 // decodeBytes parses one Event from b (which the decoder aliases — the
 // caller must keep b alive and unchanged as long as the Event is in use).
 func (d *eventDecoder) decodeBytes(b []byte) ([]runtimepkg.Event, error) {
 	d.data, d.pos = b, 0
-	d.one[0] = runtimepkg.Event{}
-	d.spec = runtimepkg.TaskSpec{}
-	d.over = runtimepkg.OverloadSpec{}
-	if err := d.parseEvent(&d.one[0]); err != nil {
+	evs := d.slot(d.evs[:0])
+	if !d.tryNull() {
+		if err := d.parseEvent(&evs[0], &d.specs[0], &d.overs[0]); err != nil {
+			return nil, err
+		}
+	}
+	return d.finish(evs, "event")
+}
+
+// decodeBatchBytes parses an Event array from b, aliased as in decodeBytes.
+func (d *eventDecoder) decodeBatchBytes(b []byte, max int) ([]runtimepkg.Event, error) {
+	d.data, d.pos = b, 0
+	evs := d.evs[:0]
+	if d.tryNull() {
+		return d.finish(evs, "batch")
+	}
+	if err := d.expect('['); err != nil {
 		return nil, err
 	}
+	if d.peek(']') {
+		return d.finish(evs, "batch")
+	}
+	for {
+		if len(evs) == max {
+			return nil, fmt.Errorf("%w of %d", ErrBatchTooLarge, max)
+		}
+		evs = d.slot(evs)
+		i := len(evs) - 1
+		if !d.tryNull() {
+			if err := d.parseEvent(&evs[i], &d.specs[i], &d.overs[i]); err != nil {
+				return nil, err
+			}
+		}
+		if d.peek(']') {
+			return d.finish(evs, "batch")
+		}
+		if err := d.expect(','); err != nil {
+			return nil, d.syntaxErr("expected ',' or ']' in events array")
+		}
+	}
+}
+
+// slot appends one zeroed Event to evs, growing the per-index scratch so
+// that specs and overs cover the new index.
+func (d *eventDecoder) slot(evs []runtimepkg.Event) []runtimepkg.Event {
+	evs = append(evs, runtimepkg.Event{})
+	d.evs = evs
+	if n := len(evs); len(d.specs) < n {
+		d.specs = append(d.specs, runtimepkg.TaskSpec{})
+		d.overs = append(d.overs, runtimepkg.OverloadSpec{})
+	}
+	return evs
+}
+
+// finish rejects anything but whitespace after the parsed value.
+func (d *eventDecoder) finish(evs []runtimepkg.Event, what string) ([]runtimepkg.Event, error) {
 	d.skipWS()
 	if d.pos != len(d.data) {
-		return nil, d.syntaxErr("trailing data after event")
+		return nil, d.syntaxErr("trailing data after %s", what)
 	}
-	return d.one, nil
+	return evs, nil
+}
+
+// ReplyBuf returns the decoder's reply buffer, emptied. The handler
+// appends its response body to it and passes the result to WriteJSON,
+// which keeps the grown buffer for the next request on this decoder.
+func (d *eventDecoder) ReplyBuf() []byte { return d.reply[:0] }
+
+// WriteJSON writes body (built on ReplyBuf) as a JSON response.
+func (d *eventDecoder) WriteJSON(w http.ResponseWriter, status int, body []byte) {
+	d.reply = body
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // readAll slurps r into the reused body buffer.
@@ -555,21 +645,38 @@ func (d *eventDecoder) objectKeys(first *bool) ([]byte, error) {
 	return key, nil
 }
 
-// foldEq is ASCII-case-insensitive equality against a letters-only field
-// name (the match rule encoding/json applies to untagged fields).
+// foldEq reports whether the key b names the letters-only field s under
+// the case folding encoding/json applies to untagged fields: ASCII
+// letters match either case, and so do the two non-ASCII runes whose
+// simple fold orbit holds an ASCII letter — U+212A KELVIN SIGN (k) and
+// U+017F LATIN SMALL LETTER LONG S (s).
 func foldEq(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		if b[i]|0x20 != s[i]|0x20 {
+	j := 0
+	for i := 0; i < len(b); j++ {
+		if j == len(s) {
 			return false
 		}
+		want := s[j] | 0x20
+		if c := b[i]; c < utf8.RuneSelf {
+			if c|0x20 != want {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRune(b[i:])
+		if !(r == '\u212a' && want == 'k' || r == '\u017f' && want == 's') {
+			return false
+		}
+		i += size
 	}
-	return true
+	return j == len(s)
 }
 
-func (d *eventDecoder) parseEvent(ev *runtimepkg.Event) error {
+// parseEvent fills ev from one JSON object. A "task" or "overload" object
+// decodes into spec or over: into the value already there when an earlier
+// duplicate key set the pointer, into a zeroed one otherwise.
+func (d *eventDecoder) parseEvent(ev *runtimepkg.Event, spec *runtimepkg.TaskSpec, over *runtimepkg.OverloadSpec) error {
 	first := true
 	for {
 		key, err := d.objectKeys(&first)
@@ -601,10 +708,13 @@ func (d *eventDecoder) parseEvent(ev *runtimepkg.Event) error {
 				ev.Task = nil
 				break
 			}
-			if err := d.parseTaskSpec(&d.spec); err != nil {
+			if ev.Task == nil {
+				*spec = runtimepkg.TaskSpec{}
+				ev.Task = spec
+			}
+			if err := d.parseTaskSpec(ev.Task); err != nil {
 				return err
 			}
-			ev.Task = &d.spec
 		case foldEq(key, "name"):
 			if d.tryNull() {
 				break
@@ -619,10 +729,13 @@ func (d *eventDecoder) parseEvent(ev *runtimepkg.Event) error {
 				ev.Overload = nil
 				break
 			}
-			if err := d.parseOverload(&d.over); err != nil {
+			if ev.Overload == nil {
+				*over = runtimepkg.OverloadSpec{}
+				ev.Overload = over
+			}
+			if err := d.parseOverload(ev.Overload); err != nil {
 				return err
 			}
-			ev.Overload = &d.over
 		case foldEq(key, "seq"):
 			if d.tryNull() {
 				break
@@ -669,6 +782,38 @@ func (d *eventDecoder) parseTaskSpec(spec *runtimepkg.TaskSpec) error {
 	}
 }
 
+// Field indices of task.Task for parseTask's key match.
+const (
+	fID = iota
+	fName
+	fPeriod
+	fRelease
+	fWCETAccurate
+	fWCETImprecise
+	fExecAccurate
+	fExecImprecise
+	fError
+	fMaxConsecutiveImprecise
+	fExtraLevels
+)
+
+var taskFields = [...]string{
+	fID: "id", fName: "name", fPeriod: "period", fRelease: "release",
+	fWCETAccurate: "wcetaccurate", fWCETImprecise: "wcetimprecise",
+	fExecAccurate: "execaccurate", fExecImprecise: "execimprecise", fError: "error",
+	fMaxConsecutiveImprecise: "maxconsecutiveimprecise", fExtraLevels: "extralevels",
+}
+
+// matchKey returns the index of the field in names that key matches, or -1.
+func matchKey(key []byte, names []string) int {
+	for i, n := range names {
+		if foldEq(key, n) {
+			return i
+		}
+	}
+	return -1
+}
+
 func (d *eventDecoder) parseTask(tt *task.Task) error {
 	first := true
 	for {
@@ -679,65 +824,51 @@ func (d *eventDecoder) parseTask(tt *task.Task) error {
 		if key == nil {
 			return nil
 		}
+		f := matchKey(key, taskFields[:])
+		if f < 0 {
+			return d.syntaxErr("unknown field %q in task", key)
+		}
 		if d.tryNull() {
-			if foldEq(key, "extralevels") {
+			if f == fExtraLevels {
 				tt.ExtraLevels = nil
 			}
 			continue
 		}
-		switch {
-		case foldEq(key, "id"):
+		switch f {
+		case fID:
 			v, err := d.parseInt()
 			if err != nil {
 				return err
 			}
 			tt.ID = int(v)
-		case foldEq(key, "name"):
+		case fName:
 			b, err := d.parseString()
 			if err != nil {
 				return err
 			}
 			tt.Name = d.intern(b)
-		case foldEq(key, "period"):
-			if tt.Period, err = d.parseTime(); err != nil {
-				return err
-			}
-		case foldEq(key, "release"):
-			if tt.Release, err = d.parseTime(); err != nil {
-				return err
-			}
-		case foldEq(key, "wcetaccurate"):
-			if tt.WCETAccurate, err = d.parseTime(); err != nil {
-				return err
-			}
-		case foldEq(key, "wcetimprecise"):
-			if tt.WCETImprecise, err = d.parseTime(); err != nil {
-				return err
-			}
-		case foldEq(key, "execaccurate"):
-			if err := d.parseDist(&tt.ExecAccurate); err != nil {
-				return err
-			}
-		case foldEq(key, "execimprecise"):
-			if err := d.parseDist(&tt.ExecImprecise); err != nil {
-				return err
-			}
-		case foldEq(key, "error"):
-			if err := d.parseDist(&tt.Error); err != nil {
-				return err
-			}
-		case foldEq(key, "maxconsecutiveimprecise"):
-			v, err := d.parseInt()
-			if err != nil {
-				return err
-			}
-			tt.MaxConsecutiveImprecise = int(v)
-		case foldEq(key, "extralevels"):
-			if err := d.parseExtraLevels(tt); err != nil {
-				return err
-			}
-		default:
-			return d.syntaxErr("unknown field %q in task", key)
+		case fPeriod:
+			tt.Period, err = d.parseTime()
+		case fRelease:
+			tt.Release, err = d.parseTime()
+		case fWCETAccurate:
+			tt.WCETAccurate, err = d.parseTime()
+		case fWCETImprecise:
+			tt.WCETImprecise, err = d.parseTime()
+		case fExecAccurate:
+			err = d.parseDist(&tt.ExecAccurate)
+		case fExecImprecise:
+			err = d.parseDist(&tt.ExecImprecise)
+		case fError:
+			err = d.parseDist(&tt.Error)
+		case fMaxConsecutiveImprecise:
+			v, perr := d.parseInt()
+			tt.MaxConsecutiveImprecise, err = int(v), perr
+		case fExtraLevels:
+			err = d.parseExtraLevels(tt)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -747,7 +878,16 @@ func (d *eventDecoder) parseTime() (task.Time, error) {
 	return task.Time(v), err
 }
 
+var distFields = [...]string{"mean", "sigma", "min", "max"}
+
 func (d *eventDecoder) parseDist(dist *task.Dist) error {
+	targets := [...]*float64{&dist.Mean, &dist.Sigma, &dist.Min, &dist.Max}
+	return d.parseFloats("dist", distFields[:], targets[:])
+}
+
+// parseFloats parses an object whose fields are all float64: names[i]
+// decodes into *targets[i].
+func (d *eventDecoder) parseFloats(what string, names []string, targets []*float64) error {
 	first := true
 	for {
 		key, err := d.objectKeys(&first)
@@ -757,44 +897,47 @@ func (d *eventDecoder) parseDist(dist *task.Dist) error {
 		if key == nil {
 			return nil
 		}
+		f := matchKey(key, names)
+		if f < 0 {
+			return d.syntaxErr("unknown field %q in %s", key, what)
+		}
 		if d.tryNull() {
 			continue
 		}
-		var target *float64
-		switch {
-		case foldEq(key, "mean"):
-			target = &dist.Mean
-		case foldEq(key, "sigma"):
-			target = &dist.Sigma
-		case foldEq(key, "min"):
-			target = &dist.Min
-		case foldEq(key, "max"):
-			target = &dist.Max
-		default:
-			return d.syntaxErr("unknown field %q in dist", key)
-		}
-		if *target, err = d.parseFloat(); err != nil {
+		if *targets[f], err = d.parseFloat(); err != nil {
 			return err
 		}
 	}
 }
 
-// parseExtraLevels parses the levels array into the reusable scratch, then
-// clones it: the runtime retains the task it admits, so the slice must not
-// alias pooled decoder memory. Events with extra levels therefore allocate
-// — they are off the zero-alloc hot path by design.
+// parseExtraLevels decodes the levels array the way encoding/json decodes
+// into an existing slice: element i merges into tt.ExtraLevels[i] while
+// it exists (a duplicate key refines the earlier array), the slice grows
+// by append, and an empty array leaves an empty non-nil slice. The
+// runtime retains the task it admits, so the slice must never alias
+// pooled decoder memory; it starts nil on every fresh TaskSpec, so events
+// with extra levels allocate — they are off the zero-alloc hot path by
+// design.
 func (d *eventDecoder) parseExtraLevels(tt *task.Task) error {
 	if err := d.expect('['); err != nil {
 		return err
 	}
-	d.levels = d.levels[:0]
+	lv := tt.ExtraLevels
+	i := 0
 	if !d.peek(']') {
 		for {
-			var lv task.Level
-			if err := d.parseLevel(&lv); err != nil {
-				return err
+			switch {
+			case i == cap(lv):
+				lv = append(lv, task.Level{})
+			case i >= len(lv):
+				lv = lv[:i+1]
 			}
-			d.levels = append(d.levels, lv)
+			if !d.tryNull() {
+				if err := d.parseLevel(&lv[i]); err != nil {
+					return err
+				}
+			}
+			i++
 			if d.peek(']') {
 				break
 			}
@@ -803,13 +946,15 @@ func (d *eventDecoder) parseExtraLevels(tt *task.Task) error {
 			}
 		}
 	}
-	if len(d.levels) == 0 {
+	if i == 0 {
 		tt.ExtraLevels = []task.Level{}
 		return nil
 	}
-	tt.ExtraLevels = append([]task.Level(nil), d.levels...)
+	tt.ExtraLevels = lv[:i]
 	return nil
 }
+
+var levelFields = [...]string{"wcet", "exec", "error"}
 
 func (d *eventDecoder) parseLevel(lv *task.Level) error {
 	first := true
@@ -821,24 +966,23 @@ func (d *eventDecoder) parseLevel(lv *task.Level) error {
 		if key == nil {
 			return nil
 		}
+		f := matchKey(key, levelFields[:])
+		if f < 0 {
+			return d.syntaxErr("unknown field %q in level", key)
+		}
 		if d.tryNull() {
 			continue
 		}
-		switch {
-		case foldEq(key, "wcet"):
-			if lv.WCET, err = d.parseTime(); err != nil {
-				return err
-			}
-		case foldEq(key, "exec"):
-			if err := d.parseDist(&lv.Exec); err != nil {
-				return err
-			}
-		case foldEq(key, "error"):
-			if err := d.parseDist(&lv.Error); err != nil {
-				return err
-			}
-		default:
-			return d.syntaxErr("unknown field %q in level", key)
+		switch f {
+		case 0:
+			lv.WCET, err = d.parseTime()
+		case 1:
+			err = d.parseDist(&lv.Exec)
+		case 2:
+			err = d.parseDist(&lv.Error)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -853,56 +997,35 @@ func (d *eventDecoder) parseOverload(ov *runtimepkg.OverloadSpec) error {
 		if key == nil {
 			return nil
 		}
+		var f int
+		switch {
+		case foldEq(key, "rates"):
+			f = 0
+		case foldEq(key, "epochs"):
+			f = 1
+		default:
+			return d.syntaxErr("unknown field %q in overload", key)
+		}
 		if d.tryNull() {
 			continue
 		}
-		switch {
-		case foldEq(key, "rates"):
-			if err := d.parseFaultRates(ov); err != nil {
-				return err
-			}
-		case foldEq(key, "epochs"):
-			v, err := d.parseInt()
-			if err != nil {
-				return err
-			}
+		if f == 0 {
+			err = d.parseFaultRates(ov)
+		} else {
+			var v int64
+			v, err = d.parseInt()
 			ov.Epochs = int(v)
-		default:
-			return d.syntaxErr("unknown field %q in overload", key)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
+var rateFields = [...]string{"overrunprob", "overrunfactor", "abortprob", "abortpoint", "dropprob"}
+
 func (d *eventDecoder) parseFaultRates(ov *runtimepkg.OverloadSpec) error {
-	first := true
-	for {
-		key, err := d.objectKeys(&first)
-		if err != nil {
-			return err
-		}
-		if key == nil {
-			return nil
-		}
-		if d.tryNull() {
-			continue
-		}
-		var target *float64
-		switch {
-		case foldEq(key, "overrunprob"):
-			target = &ov.Rates.OverrunProb
-		case foldEq(key, "overrunfactor"):
-			target = &ov.Rates.OverrunFactor
-		case foldEq(key, "abortprob"):
-			target = &ov.Rates.AbortProb
-		case foldEq(key, "abortpoint"):
-			target = &ov.Rates.AbortPoint
-		case foldEq(key, "dropprob"):
-			target = &ov.Rates.DropProb
-		default:
-			return d.syntaxErr("unknown field %q in fault rates", key)
-		}
-		if *target, err = d.parseFloat(); err != nil {
-			return err
-		}
-	}
+	r := &ov.Rates
+	targets := [...]*float64{&r.OverrunProb, &r.OverrunFactor, &r.AbortProb, &r.AbortPoint, &r.DropProb}
+	return d.parseFloats("fault rates", rateFields[:], targets[:])
 }

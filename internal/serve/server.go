@@ -538,6 +538,24 @@ type decisionEntry struct {
 	Error    string              `json:"error,omitempty"`
 }
 
+// appendJSON appends the entry as compact JSON, byte-identical to
+// json.Marshal of the struct.
+func (e *decisionEntry) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"decision":`...)
+	b, err := e.Decision.AppendJSON(b)
+	if err != nil {
+		return b, err
+	}
+	if e.Error != "" {
+		b = append(b, `,"error":`...)
+		b = runtimepkg.AppendJSONString(b, e.Error)
+	}
+	return append(b, '}'), nil
+}
+
+// emptyBatchReply answers a batch with no events.
+const emptyBatchReply = `{"decisions":[]}` + "\n"
+
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		s.shed.Add(1)
@@ -549,29 +567,31 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	// the engine's reply — and is deliberately leaked to the GC on
 	// timeout, when the engine may still read it.
 	d := getDecoder()
+	engineMayRead := false // set when the handler stops waiting on the engine
+	defer func() {
+		if !engineMayRead {
+			putDecoder(d)
+		}
+	}()
 	evs, err := d.Decode(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		putDecoder(d)
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding event: %v", err))
 		return
 	}
 	evs[0].Epoch = 0 // the engine stamps the live epoch
 	if err := evs[0].Validate(); err != nil {
-		putDecoder(d)
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	deadline := DeadlineMs(r)
 	if reason, retry := s.admitGate(deadline); reason != "" {
-		putDecoder(d)
 		s.shedAdaptive(w, reason, retry)
 		return
 	}
 	t := ticket{evs: evs, reply: make(chan admitReply, 1)}
 	ok, full := s.tryEnqueue(t)
 	if !ok {
-		putDecoder(d)
 		s.shed.Add(1)
 		if full {
 			s.unavailable(w, "admission queue full")
@@ -585,7 +605,6 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	select {
 	case rep := <-t.reply:
-		putDecoder(d)
 		if rep.err != nil {
 			httpError(w, http.StatusInternalServerError, rep.err.Error())
 			return
@@ -599,16 +618,18 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		if evErr != nil {
 			status = http.StatusConflict
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
 		out := decisionEntry{Decision: rep.decs[0]}
 		if evErr != nil {
 			out.Error = evErr.Error()
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		body, err := out.appendJSON(d.ReplyBuf())
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		d.WriteJSON(w, status, append(body, '\n'))
 	case <-ctx.Done():
+		engineMayRead = true
 		// The engine is saturated: the request was accepted and WILL be
 		// applied (durably), but this client's wait is over. Shed it with
 		// the same 503 + Retry-After contract as the front door, so
@@ -624,24 +645,21 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 		s.unavailable(w, "not ready")
 		return
 	}
-	var evs []runtimepkg.Event
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&evs); err != nil {
+	// Pooled decode, recycled after the engine's reply exactly as /admit.
+	d := getDecoder()
+	engineMayRead := false // set when the handler stops waiting on the engine
+	defer func() {
+		if !engineMayRead {
+			putDecoder(d)
+		}
+	}()
+	evs, err := d.DecodeBatch(http.MaxBytesReader(w, r.Body, 4<<20), s.opt.MaxBatchEvents)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding events: %v", err))
 		return
 	}
-	if len(evs) > s.opt.MaxBatchEvents {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d events exceeds the %d-event limit", len(evs), s.opt.MaxBatchEvents))
-		return
-	}
-	out := struct {
-		Decisions []decisionEntry `json:"decisions"`
-	}{Decisions: []decisionEntry{}}
 	if len(evs) == 0 {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
+		d.WriteJSON(w, http.StatusOK, append(d.ReplyBuf(), emptyBatchReply...))
 		return
 	}
 	for i := range evs {
@@ -673,18 +691,23 @@ func (s *Server) handleAdmitBatch(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, rep.err.Error())
 			return
 		}
+		body := append(d.ReplyBuf(), `{"decisions":[`...)
 		for i := range rep.decs {
+			if i > 0 {
+				body = append(body, ',')
+			}
 			e := decisionEntry{Decision: rep.decs[i]}
 			if rep.errs[i] != nil {
 				e.Error = rep.errs[i].Error()
 			}
-			out.Decisions = append(out.Decisions, e)
+			if body, err = e.appendJSON(body); err != nil {
+				httpError(w, http.StatusInternalServerError, err.Error())
+				return
+			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		d.WriteJSON(w, http.StatusOK, append(body, "]}\n"...))
 	case <-ctx.Done():
+		engineMayRead = true
 		s.shed.Add(1)
 		s.unavailable(w, "engine saturated; accepted batch still pending")
 	}

@@ -124,10 +124,21 @@ func TestAdmitDecisions(t *testing.T) {
 		t.Fatalf("admit a rejected: %s", body)
 	}
 
+	if want, _ := json.Marshal(decisionEntry{Decision: out.Decision}); body != string(want)+"\n" {
+		t.Errorf("admit reply is not compact json.Marshal output:\n got  %s\n want %s", body, want)
+	}
+
 	// Duplicate add: stale, 409 with the decision and error attached.
 	resp, body = post(t, ts.URL+"/admit", addEventJSON(t, "a"))
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate admit: %d, want 409: %s", resp.StatusCode, body)
+	}
+	var dup decisionEntry
+	if err := json.Unmarshal([]byte(body), &dup); err != nil || dup.Error == "" {
+		t.Fatalf("duplicate admit reply %s: %v", body, err)
+	}
+	if want, _ := json.Marshal(dup); body != string(want)+"\n" {
+		t.Errorf("409 reply is not compact json.Marshal output:\n got  %s\n want %s", body, want)
 	}
 
 	// Structural garbage never reaches the journal.

@@ -9,11 +9,13 @@
 package task
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -302,9 +304,19 @@ func New(tasks []Task) (*Set, error) {
 	if len(tasks) == 0 {
 		return nil, ErrEmptySet
 	}
+	// Stable-sort a permutation and copy each Task once: sorting the Task
+	// structs themselves would swap whole records through reflection.
+	perm := make([]int32, len(tasks))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		return cmp.Compare(tasks[a].Period, tasks[b].Period)
+	})
 	ts := make([]Task, len(tasks))
-	copy(ts, tasks)
-	sort.SliceStable(ts, func(a, b int) bool { return ts[a].Period < ts[b].Period })
+	for i, k := range perm {
+		ts[i] = tasks[k]
+	}
 	hyper := Time(1)
 	for i := range ts {
 		if ts[i].Name == "" {

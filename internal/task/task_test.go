@@ -2,6 +2,10 @@ package task
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -467,5 +471,30 @@ func TestNewBoundaryValidation(t *testing.T) {
 				t.Errorf("utilization = %g, want exactly 1.0", s.UtilizationAccurate())
 			}
 		})
+	}
+}
+
+// New sorts through an index permutation; the result must be exactly a
+// stable sort of the Task structs by period (ties keep input order).
+func TestNewMatchesStableStructSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		in := make([]Task, 1+rnd.Intn(40))
+		for i := range in {
+			p := Time(10 * (1 + rnd.Intn(6))) // few distinct periods: many ties
+			in[i] = validTask(fmt.Sprintf("t%d", i), p, 4, 1+Time(rnd.Intn(3)))
+		}
+		want := append([]Task(nil), in...)
+		sort.SliceStable(want, func(a, b int) bool { return want[a].Period < want[b].Period })
+		for i := range want {
+			want[i].ID = i
+		}
+		s, err := New(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Tasks(), want) {
+			t.Fatalf("trial %d: New order diverges from a stable struct sort", trial)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Run the ingest-path benchmarks (group-commit WAL, batched admission
-# engine, zero-alloc event decode) and emit a JSON report via cmd/benchjson.
+# engine, zero-alloc event and batch decode, decision reply encode, the
+# Runtime.Add screen at 20/200/1000 resident tasks) and emit a JSON report
+# via cmd/benchjson.
 #
 # usage: scripts/bench_serve.sh [out.json] [benchtime]
 #
@@ -27,7 +29,7 @@ staging="$(mktemp "${TMPDIR:-/tmp}/bench_serve.XXXXXX.json")"
 trap 'rm -f "$staging"' EXIT INT TERM
 
 go test -run xxx \
-  -bench 'BenchmarkAdmitSerial|BenchmarkAdmitGroupCommit|BenchmarkGroupCommit|BenchmarkDecodeEvent' \
+  -bench 'BenchmarkAdmitSerial|BenchmarkAdmitGroupCommit|BenchmarkGroupCommit|BenchmarkDecodeEvent|BenchmarkDecodeBatch|BenchmarkEncodeDecisions|BenchmarkRuntimeAdd' \
   -benchmem -benchtime "$benchtime" \
   ./internal/runtime/ ./internal/journal/ ./internal/serve/ \
   | go run ./cmd/benchjson -out "$staging"
