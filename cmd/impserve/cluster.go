@@ -5,23 +5,16 @@
 package main
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
-	"time"
 
 	"nprt/internal/cluster"
 	schedrt "nprt/internal/runtime"
-	"nprt/internal/serve"
 )
 
 // clusterStoreOptions is the per-shard store template shared by both
@@ -194,76 +187,25 @@ func runDurableCluster(fs flags) int {
 	return exitOK
 }
 
-// runServeCluster is runServe at cluster width: the same bind-first
-// listener, handler indirection and supervisor, but each incarnation
-// recovers the whole cluster and attaches the partition-aware server —
-// every /admit routes through placement, /state aggregates the shards.
+// runServeCluster is runServe at cluster width: each incarnation recovers
+// the whole cluster and attaches the partition-aware server — every /admit
+// routes through placement, /state aggregates the shards.
 func runServeCluster(fs flags) int {
-	opts, code := runtimeOptions(fs)
-	if code != exitOK {
-		return code
-	}
-
-	ln, err := net.Listen("tcp", *fs.listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitInvalidInput
-	}
-	fmt.Printf("listening:   %s (%d shards, placement %s)\n", ln.Addr(), *fs.shards, *fs.placement)
-
-	var current atomic.Pointer[http.Handler]
-	httpSrv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if h := current.Load(); h != nil {
-				(*h).ServeHTTP(w, r)
-				return
-			}
-			if r.URL.Path == "/healthz" {
-				fmt.Fprintln(w, "ok")
-				return
-			}
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, `{"error": "restarting"}`, http.StatusServiceUnavailable)
-		}),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	go httpSrv.Serve(ln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		httpSrv.Shutdown(ctx)
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	fsyncs := 0
-	sup := &serve.Supervisor{
-		MaxRestarts: *fs.maxRestarts,
-		ResetAfter:  *fs.restartReset,
-		OnRestart: func(attempt int, err error, delay time.Duration) {
-			fmt.Fprintf(os.Stderr, "impserve: incarnation %d died (%v); restarting in %v\n", attempt, err, delay)
-		},
-	}
-	err = sup.Run(ctx, func(ctx context.Context) error {
+	listening := fmt.Sprintf(" (%d shards, placement %s)", *fs.shards, *fs.placement)
+	return serveLoop(fs, listening, func(opts schedrt.Options, fsyncs *int) (*incarnation, error) {
 		c, err := cluster.Open(*fs.dir, cluster.Options{
 			Shards:        *fs.shards,
 			Replicas:      *fs.replicas,
 			Placement:     *fs.placement,
-			Store:         clusterStoreOptions(fs, opts, &fsyncs),
+			Store:         clusterStoreOptions(fs, opts, fsyncs),
 			RelaxedMeta:   true,
 			LatencySLO:    *fs.latencySLO,
 			AdmitDeadline: *fs.deadline,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer c.Close()
 		printClusterRecovery(fs, c)
-
 		srv := cluster.NewServer(cluster.ServeOptions{
 			QueueDepth:      *fs.queue,
 			EpochInterval:   *fs.epochEvery,
@@ -272,37 +214,12 @@ func runServeCluster(fs flags) int {
 			StuckOpAfter:    *fs.watchdog,
 			Logf:            func(f string, a ...any) { fmt.Fprintf(os.Stderr, "impserve: "+f+"\n", a...) },
 		})
-		h := srv.Handler()
-		current.Store(&h)
-		defer current.Store(nil)
-		srv.Attach(c)
-
-		select {
-		case err := <-srv.Fatal():
-			shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Shutdown(shctx)
-			return err
-		case <-ctx.Done():
-			shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(shctx); err != nil {
-				return fmt.Errorf("drain: %w", err)
-			}
-			fmt.Printf("drained:     epoch %d\n", c.Epoch())
-			fmt.Printf("epochs:      %d\n", c.Epoch())
-			fmt.Printf("digest:      %016x\n", clusterDigest(c))
-			return nil
-		}
+		return &incarnation{
+			plane:  srv,
+			attach: func() { srv.Attach(c) },
+			epoch:  c.Epoch,
+			digest: func() uint64 { return clusterDigest(c) },
+			close:  c.Close,
+		}, nil
 	})
-	switch {
-	case err == nil, errors.Is(err, context.Canceled):
-		return exitOK
-	case errors.Is(err, serve.ErrRestartBudget):
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitBudget
-	default:
-		fmt.Fprintln(os.Stderr, "impserve:", err)
-		return exitInternal
-	}
 }

@@ -287,6 +287,63 @@ func runServe(fs flags) int {
 	if *fs.shards > 1 {
 		return runServeCluster(fs)
 	}
+	return serveLoop(fs, "", func(opts schedrt.Options, fsyncs *int) (*incarnation, error) {
+		st, err := schedrt.OpenStore(*fs.dir, schedrt.StoreOptions{
+			Runtime:     opts,
+			AfterSync:   crashHook(fs, fsyncs),
+			CommitBatch: *fs.commitBatch,
+			CommitDelay: *fs.commitDelay,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if rec := st.Recovery(); rec.FromCheckpoint != "" || rec.ReplayedEvents+rec.ReplayedEpochs > 0 {
+			fmt.Printf("restored:    %s at epoch %d (digest %016x, %d fallbacks, replayed %d events + %d epochs)\n",
+				*fs.dir, rec.Epoch, rec.Digest, rec.CheckpointFallbacks, rec.ReplayedEvents, rec.ReplayedEpochs)
+		}
+		srv := serve.New(serve.Options{
+			QueueDepth:      *fs.queue,
+			EpochInterval:   *fs.epochEvery,
+			CheckpointEvery: *fs.ckptEvery,
+			CoDelTarget:     *fs.codelTarget,
+			Logf:            func(f string, a ...any) { fmt.Fprintf(os.Stderr, "impserve: "+f+"\n", a...) },
+		})
+		return &incarnation{
+			plane:  srv,
+			attach: func() { srv.Attach(st) },
+			epoch:  st.Epoch,
+			digest: st.Digest,
+			close:  st.Close,
+		}, nil
+	})
+}
+
+// controlPlane is the HTTP server one incarnation attaches its recovered
+// state to: serve.Server on one node, cluster.Server across shards.
+type controlPlane interface {
+	Handler() http.Handler
+	Fatal() <-chan error
+	Shutdown(context.Context) error
+}
+
+// incarnation is one supervised life of the service: recovered state and
+// the control plane that will serve it.
+type incarnation struct {
+	plane controlPlane
+	// attach hands the recovered state to plane.
+	attach func()
+	epoch  func() int64
+	digest func() uint64
+	close  func() error
+}
+
+// serveLoop is the supervised HTTP service at either width. The listener
+// binds first (so probes see "alive, not ready" instead of connection
+// refused) and its listening: line carries the width's suffix; then each
+// supervisor incarnation opens recovered state, attaches the control
+// plane, and serves until a fatal store error (restart, with backoff) or
+// a signal (graceful drain, exit 0).
+func serveLoop(fs flags, listening string, open func(opts schedrt.Options, fsyncs *int) (*incarnation, error)) int {
 	opts, code := runtimeOptions(fs)
 	if code != exitOK {
 		return code
@@ -297,7 +354,7 @@ func runServe(fs flags) int {
 		fmt.Fprintln(os.Stderr, "impserve:", err)
 		return exitInvalidInput
 	}
-	fmt.Printf("listening:   %s\n", ln.Addr())
+	fmt.Printf("listening:   %s%s\n", ln.Addr(), listening)
 
 	// The handler indirection outlives any single incarnation: between
 	// restarts (and before the first attach) everything but /healthz is 503.
@@ -339,50 +396,33 @@ func runServe(fs flags) int {
 		},
 	}
 	err = sup.Run(ctx, func(ctx context.Context) error {
-		st, err := schedrt.OpenStore(*fs.dir, schedrt.StoreOptions{
-			Runtime:     opts,
-			AfterSync:   crashHook(fs, &fsyncs),
-			CommitBatch: *fs.commitBatch,
-			CommitDelay: *fs.commitDelay,
-		})
+		inc, err := open(opts, &fsyncs)
 		if err != nil {
 			return err
 		}
-		defer st.Close()
-		if rec := st.Recovery(); rec.FromCheckpoint != "" || rec.ReplayedEvents+rec.ReplayedEpochs > 0 {
-			fmt.Printf("restored:    %s at epoch %d (digest %016x, %d fallbacks, replayed %d events + %d epochs)\n",
-				*fs.dir, rec.Epoch, rec.Digest, rec.CheckpointFallbacks, rec.ReplayedEvents, rec.ReplayedEpochs)
-		}
-
-		srv := serve.New(serve.Options{
-			QueueDepth:      *fs.queue,
-			EpochInterval:   *fs.epochEvery,
-			CheckpointEvery: *fs.ckptEvery,
-			CoDelTarget:     *fs.codelTarget,
-			Logf:            func(f string, a ...any) { fmt.Fprintf(os.Stderr, "impserve: "+f+"\n", a...) },
-		})
-		h := srv.Handler()
+		defer inc.close()
+		h := inc.plane.Handler()
 		current.Store(&h)
 		defer current.Store(nil)
-		srv.Attach(st)
+		inc.attach()
 
 		select {
-		case err := <-srv.Fatal():
+		case err := <-inc.plane.Fatal():
 			shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			srv.Shutdown(shctx)
+			inc.plane.Shutdown(shctx)
 			return err
 		case <-ctx.Done():
 			// Graceful drain: bar the door, apply everything accepted,
 			// leave the journal clean. Exit 0 — recovery needs nothing.
 			shctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			if err := srv.Shutdown(shctx); err != nil {
+			if err := inc.plane.Shutdown(shctx); err != nil {
 				return fmt.Errorf("drain: %w", err)
 			}
-			fmt.Printf("drained:     epoch %d\n", st.Epoch())
-			fmt.Printf("epochs:      %d\n", st.Epoch())
-			fmt.Printf("digest:      %016x\n", st.Digest())
+			fmt.Printf("drained:     epoch %d\n", inc.epoch())
+			fmt.Printf("epochs:      %d\n", inc.epoch())
+			fmt.Printf("digest:      %016x\n", inc.digest())
 			return nil
 		}
 	})

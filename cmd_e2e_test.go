@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -568,16 +569,26 @@ func TestE2EImpserveStrict(t *testing.T) {
 	}
 }
 
-// TestE2EImpserveServe drives the supervised HTTP service: readiness
-// flips after recovery, admissions land over HTTP, SIGTERM drains
-// gracefully (exit 0), and a restart restores the admitted state.
+// TestE2EImpserveServe drives the supervised HTTP service at both widths
+// (one node, and a 2-shard cluster): readiness flips after recovery,
+// admissions land over HTTP, SIGTERM drains gracefully (exit 0), and a
+// restart restores the admitted state.
 func TestE2EImpserveServe(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testImpserveServe(t, shards)
+		})
+	}
+}
+
+func testImpserveServe(t *testing.T, shards int) {
 	dir := t.TempDir()
 	stateDir := filepath.Join(dir, "state")
 
 	start := func() (*exec.Cmd, string, *lockedBuf) {
 		cmd := exec.Command(filepath.Join(binDir, "impserve"),
-			"-dir", stateDir, "-listen", "127.0.0.1:0", "-epoch-interval", "10ms")
+			"-dir", stateDir, "-listen", "127.0.0.1:0", "-epoch-interval", "10ms",
+			"-shards", strconv.Itoa(shards))
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -596,7 +607,10 @@ func TestE2EImpserveServe(t *testing.T) {
 			line := sc.Text()
 			fmt.Fprintln(buf, line)
 			if strings.HasPrefix(line, "listening:") {
-				addr = strings.TrimSpace(strings.TrimPrefix(line, "listening:"))
+				// A cluster appends "(N shards, placement P)" to the address.
+				if f := strings.Fields(strings.TrimPrefix(line, "listening:")); len(f) > 0 {
+					addr = f[0]
+				}
 				break
 			}
 		}
@@ -663,16 +677,31 @@ func TestE2EImpserveServe(t *testing.T) {
 	}
 	stateOut, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	// One node reports its digest at the top level; a cluster reports one
+	// per shard.
 	var st struct {
 		Ready    bool   `json:"ready"`
 		Tasks    int    `json:"tasks"`
 		Admitted uint64 `json:"admitted"`
 		Digest   string `json:"digest"`
+		PerShard []struct {
+			Digest string `json:"digest"`
+		} `json:"per_shard"`
 	}
 	if err := json.Unmarshal(stateOut, &st); err != nil {
 		t.Fatalf("state: %v\n%s", err, stateOut)
 	}
-	if !st.Ready || st.Tasks != 1 || st.Admitted != 1 || st.Digest == "" {
+	digests := []string{st.Digest}
+	if shards > 1 {
+		if len(st.PerShard) != shards {
+			t.Fatalf("state has %d per_shard rows, want %d: %s", len(st.PerShard), shards, stateOut)
+		}
+		digests = digests[:0]
+		for _, row := range st.PerShard {
+			digests = append(digests, row.Digest)
+		}
+	}
+	if !st.Ready || st.Tasks != 1 || st.Admitted != 1 || slices.Contains(digests, "") {
 		t.Errorf("state after admit: %s", stateOut)
 	}
 

@@ -4,16 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
-	"nprt/internal/cluster"
 	"nprt/internal/journal"
-	"nprt/internal/rng"
-	schedrt "nprt/internal/runtime"
 )
 
 // The chaos soak is the failure-containment counterpart of the cluster
@@ -75,17 +69,18 @@ var chaosFaultRates = journal.FaultRates{
 // must restore them as routinely as primaries fail over.
 const chaosFolRate = 0.01
 
-const (
-	chaosTickSalt    = 0x9e3779b97f4a7c15
-	chaosShardSalt   = 0xd1b54a32d192ed03
-	chaosReplicaSalt = 0x94d049bb133111eb
-)
-
-// chaosDraw is the pure (seed, tick) action draw: two floats — one for the
-// action kind, one for the victim shard.
-func chaosDraw(seed uint64, tick int) (action, victim float64) {
-	st := rng.New(seed ^ uint64(tick+1)*chaosTickSalt)
-	return st.Float64(), st.Float64()
+// chaosSchedule is the chaos soak: storage faults on every drive, and per
+// tick a kill, a wedge-evacuation (unreplicated) or a primary wedge
+// (replicated) in one shared band, then a follower wedge (replicated).
+var chaosSchedule = soakSchedule{
+	name:   "chaos",
+	faults: chaosFaultRates,
+	bands: []soakBand{
+		{chaosKillRate, soakKill},
+		{chaosKillRate + chaosEvacRate, soakWedgePrimary},
+		{chaosKillRate + chaosEvacRate, soakEvacuate},
+		{chaosKillRate + chaosEvacRate + chaosFolRate, soakWedgeFollower},
+	},
 }
 
 // ChaosRow is the outcome at one cluster width.
@@ -140,325 +135,6 @@ type ChaosResult struct {
 	Rows     []ChaosRow `json:"rows"`
 }
 
-// chaosOutcome is one drive's complete observable state.
-type chaosOutcome struct {
-	digests                                []uint64
-	owners                                 map[string]int
-	live                                   map[string]int
-	expect                                 map[string]bool
-	metrics                                schedrt.Metrics
-	healths                                []cluster.ShardHealth
-	ticks, kills, evacs, migrated, evicted int
-	wedges, fwedges                        int
-}
-
-// driveChaos plays the tape on a fresh cluster under dir with the full
-// torment plan, in the given drive mode, and returns the outcome. The
-// cluster directory is removed before returning.
-//
-// With replicas > 0 the torment targets drives, not shards: a wedge lands
-// on the current primary slot's injector (the failover path must absorb
-// it with zero shed — any ErrShardFailed surfacing through record fails
-// the run) or on a follower slot (the ship must demote it). Wedged drives
-// heal at the tick's end — replaced, suspended for the verified re-seed,
-// resumed — so every failover is followed by redundancy restoration, and
-// the next wedge can target the new primary.
-func driveChaos(dir string, shards, replicas int, policy string, tp *schedrt.Tape, seed uint64, parallel bool) (*chaosOutcome, error) {
-	defer os.RemoveAll(dir)
-	// One deterministic fault plan per drive: injectors follow the slot
-	// directory, not the role, exactly as physical disks would.
-	rfss := make([][]*journal.FaultFS, shards)
-	for i := range rfss {
-		rfss[i] = make([]*journal.FaultFS, replicas+1)
-		for slot := range rfss[i] {
-			s := seed ^ uint64(i+1)*chaosShardSalt ^ uint64(slot)*chaosReplicaSalt
-			rfss[i][slot] = journal.NewFaultFS(s, chaosFaultRates)
-		}
-	}
-	c, err := cluster.Open(dir, cluster.Options{
-		Shards:    shards,
-		Replicas:  replicas,
-		Placement: policy,
-		Store:     schedrt.StoreOptions{NoSync: true, Runtime: schedrt.Options{Governor: churnGovernor}},
-		Inject:    func(si int) journal.Injector { return rfss[si][0] },
-		InjectReplica: func(si, slot int) journal.Injector {
-			return rfss[si][slot]
-		},
-		Retry: cluster.RetryOptions{
-			MaxAttempts: 10,
-			Seed:        seed,
-			Sleep:       func(time.Duration) {}, // deterministic soaks spend no wall-clock
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	horizon := int64(32)
-	if n := len(tp.Events); n > 0 {
-		horizon += tp.Events[n-1].Epoch
-	}
-	out := &chaosOutcome{expect: make(map[string]bool)}
-	i := 0
-	// The tick counter is monotonic and independent of the cluster clock:
-	// an evacuation drops the re-imaged shard to epoch 0 and the clock
-	// re-levels through old values during catch-up — keying chaos on the
-	// epoch would re-trigger the same wedge forever.
-	for tick := 0; c.Epoch() < horizon; tick++ {
-		out.ticks = tick + 1
-		action, victim := chaosDraw(seed, tick)
-		si := int(victim * float64(shards))
-		if si >= shards {
-			si = shards - 1
-		}
-		// wedged collects this tick's dead drives; each heals — and its
-		// shard's followers re-seed — at the tick's end.
-		var wedged []*journal.FaultFS
-		switch {
-		case action < chaosKillRate:
-			// Crash-restart at a quiescent boundary: close, recover from
-			// checkpoint + WAL replay, rebuild the mirror.
-			if err := c.CrashShard(si); err != nil {
-				return nil, fmt.Errorf("chaos kill shard %d at tick %d: %w", si, tick, err)
-			}
-			out.kills++
-		case action < chaosKillRate+chaosEvacRate && replicas > 0:
-			// Primary-drive wedge: the disk under the current primary dies
-			// mid-flight. No FailShard, no evacuation — the tick's own
-			// events and epoch run must drive the health machine through
-			// promotion, and any shed (ErrShardFailed reaching record)
-			// fails the soak. Zero-shed is the claim under test.
-			wedged = append(wedged, rfss[si][c.PrimarySlot(si)])
-			wedged[len(wedged)-1].Wedge()
-			out.wedges++
-		case action < chaosKillRate+chaosEvacRate && shards > 1:
-			// Wedge: the device dies mid-flight. Declare the shard Failed,
-			// heal the device, then drain every task through the checkpoint-
-			// handoff path and re-image. The source device's fault schedule
-			// is suspended for the maintenance window (the operator verified
-			// the replacement disk); target-shard and meta writes during the
-			// handoff stay fully exposed to their own fault plans.
-			level := c.Epoch()
-			fss := rfss[si][0]
-			fss.Wedge()
-			c.FailShard(si, fmt.Sprintf("chaos wedge at tick %d", tick))
-			fss.Heal()
-			fss.Suspend()
-			rep, err := c.EvacuateShard(si)
-			fss.Resume()
-			if err != nil {
-				return nil, fmt.Errorf("chaos evacuate shard %d at tick %d: %w", si, tick, err)
-			}
-			// Walk the re-imaged shard (epoch 0) back to lockstep inside the
-			// same tick: RunEpoch's min-rule advances only the laggard, so
-			// this is pure empty-shard replay of the survivors' clock. It
-			// cannot ride the outer loop — there the cluster clock would
-			// re-level through ~level old values, and any fresh evacuation
-			// draw during the walk resets it again; once the horizon exceeds
-			// the mean evacuation gap the clock only clears the horizon on an
-			// evacuation-free streak, which stops arriving at soak scale.
-			for c.Epoch() < level {
-				if _, err := c.RunEpoch(parallel); err != nil {
-					return nil, fmt.Errorf("chaos catch-up shard %d at tick %d: %w", si, tick, err)
-				}
-			}
-			out.evacs++
-			out.migrated += rep.Migrated
-			out.evicted += rep.Evicted
-			for _, mv := range rep.Moves {
-				if mv.Evicted {
-					delete(out.expect, mv.Name)
-				}
-			}
-		case action < chaosKillRate+chaosEvacRate+chaosFolRate && replicas > 0:
-			// Follower-drive wedge: the next ship to it fails, demoting it;
-			// the primary keeps acking. Pick the first non-primary slot so
-			// the victim is a pure function of the role state.
-			for slot := 0; slot <= replicas; slot++ {
-				if slot != c.PrimarySlot(si) {
-					wedged = append(wedged, rfss[si][slot])
-					wedged[len(wedged)-1].Wedge()
-					out.fwedges++
-					break
-				}
-			}
-		}
-
-		// Route this tick's due events, exactly as PlayTape would.
-		start := i
-		epoch := c.Epoch()
-		for i < len(tp.Events) && tp.Events[i].Epoch <= epoch {
-			i++
-		}
-		// Events are NOT pre-stamped with tape indices: the router assigns
-		// each arrival the next global sequence. That keeps per-shard
-		// arrival sequences monotone even after migration handoffs stamp
-		// fresh (high) sequences onto target shards — the property the
-		// retry dedup guard depends on. (PlayTape pre-stamps because it
-		// re-delivers the tape across cluster reopens; this driver never
-		// re-delivers.)
-		due := make([]schedrt.Event, 0, i-start)
-		for j := start; j < i; j++ {
-			due = append(due, tp.Events[j])
-		}
-		record := func(ev schedrt.Event, res cluster.Result, err error) error {
-			if err != nil {
-				if schedrt.IsStaleRequest(err) {
-					return nil
-				}
-				return fmt.Errorf("event at epoch %d: %w", ev.Epoch, err)
-			}
-			switch ev.Op {
-			case "add":
-				if res.Decision.Verdict != schedrt.Rejected {
-					out.expect[ev.Task.Task.Name] = true
-				}
-			case "remove":
-				delete(out.expect, ev.Name)
-			}
-			return nil
-		}
-		if parallel {
-			results, errs, err := c.ApplyBatch(due)
-			if err != nil {
-				return nil, err
-			}
-			for j := range due {
-				if err := record(due[j], results[j], errs[j]); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for _, ev := range due {
-				res, err := c.Apply(ev)
-				if err := record(ev, res, err); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if _, err := c.RunEpoch(parallel); err != nil {
-			return nil, err
-		}
-
-		// Tick-end maintenance: replaced drives come back, and every
-		// out-of-sync follower — the demoted old primary after a failover,
-		// a ship-failed or wedged follower — is re-seeded under a suspended
-		// fault schedule (the operator verified the new disk; suspension
-		// freezes the drive's op counter, so the schedule is untouched).
-		// This bounds the redundancy gap to within one tick: each wedge
-		// draw happens against a fully in-sync follower set.
-		for _, f := range wedged {
-			f.Heal()
-		}
-		if replicas > 0 {
-			for s2 := 0; s2 < shards; s2++ {
-				var susp []*journal.FaultFS
-				for _, ri := range c.Replicas(s2) {
-					if !ri.InSync {
-						f := rfss[s2][ri.Slot]
-						f.Suspend()
-						susp = append(susp, f)
-					}
-				}
-				if len(susp) == 0 {
-					continue
-				}
-				_, err := c.ReseedReplicas(s2)
-				for _, f := range susp {
-					f.Resume()
-				}
-				if err != nil {
-					return nil, fmt.Errorf("chaos reseed shard %d at tick %d: %w", s2, tick, err)
-				}
-			}
-		}
-		if (tick+1)%32 == 0 {
-			if err := c.Checkpoint(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if replicas > 0 {
-		// End-of-run redundancy audit: a final checkpoint byte-verifies
-		// every follower against its primary (the scrub demotes silent
-		// divergence), then one suspended-schedule re-seed pass restores
-		// anything the scrub itself demoted — the checkpoint's own ships
-		// and re-seeds are still fault-exposed, so a parting stall can
-		// legitimately demote. After that pass, anything still out of sync
-		// is a containment failure, not a data point.
-		if err := c.Checkpoint(); err != nil {
-			return nil, err
-		}
-		for si := 0; si < shards; si++ {
-			var susp []*journal.FaultFS
-			for _, ri := range c.Replicas(si) {
-				if !ri.InSync {
-					f := rfss[si][ri.Slot]
-					f.Suspend()
-					susp = append(susp, f)
-				}
-			}
-			if len(susp) > 0 {
-				_, err := c.ReseedReplicas(si)
-				for _, f := range susp {
-					f.Resume()
-				}
-				if err != nil {
-					return nil, fmt.Errorf("chaos: final reseed shard %d: %w", si, err)
-				}
-			}
-			for _, ri := range c.Replicas(si) {
-				if !ri.InSync {
-					return nil, fmt.Errorf("chaos: shard %d follower slot %d out of sync at end: %s",
-						si, ri.Slot, ri.LastError)
-				}
-			}
-		}
-	}
-
-	out.digests = c.Digests()
-	out.owners = c.Owners()
-	out.live = make(map[string]int)
-	for _, sh := range c.Shards() {
-		for _, sp := range sh.Store.Runtime().Tasks() {
-			out.live[sp.Task.Name] = sh.ID
-		}
-	}
-	out.metrics = c.Metrics()
-	out.healths = c.Healths()
-	return out, nil
-}
-
-func sameChaosOutcome(a, b *chaosOutcome) bool {
-	if len(a.digests) != len(b.digests) || len(a.owners) != len(b.owners) {
-		return false
-	}
-	for i := range a.digests {
-		if a.digests[i] != b.digests[i] {
-			return false
-		}
-	}
-	for k, v := range a.owners {
-		if b.owners[k] != v {
-			return false
-		}
-	}
-	// Failover determinism: promotion is a pure function of (health state,
-	// replica high-water marks), so the drives must agree not just on final
-	// bytes but on how many promotions each shard took to get there.
-	if len(a.healths) != len(b.healths) {
-		return false
-	}
-	for i := range a.healths {
-		if a.healths[i].Promotions != b.healths[i].Promotions {
-			return false
-		}
-	}
-	return true
-}
-
 // ChaosSoak plays one churn tape per width under the full torment plan:
 // storage faults on every shard WAL, seeded kills, seeded wedge-and-
 // evacuate cycles. Each width drives the tape three times — serial, serial
@@ -473,105 +149,39 @@ func sameChaosOutcome(a, b *chaosOutcome) bool {
 // lingering out-of-sync follower, or promotion-count divergence between
 // the drives — on top of the unreplicated soak's lost/orphan/miss gates.
 func ChaosSoak(cfg Config, dir string, events int, shardCounts []int, policy string, replicas int) (*ChaosResult, error) {
-	cfg = cfg.withDefaults()
-	if events <= 0 {
-		events = 1200
+	p := soakArgs{cfg, dir, events, shardCounts, policy, replicas}.withDefaults(ChaosShardCounts)
+	widths, err := chaosSchedule.run(p)
+	if err != nil {
+		return nil, err
 	}
-	if len(shardCounts) == 0 {
-		shardCounts = ChaosShardCounts
-	}
-	if policy == "" {
-		policy = "first-fit"
-	}
-	if replicas < 0 {
-		replicas = 0
-	}
-	tp := GenerateChurnTape(cfg.Seed, events)
-
-	out := &ChaosResult{Events: events, Seed: cfg.Seed, Policy: policy, Replicas: replicas}
-	for _, shards := range shardCounts {
-		var runs [3]*chaosOutcome
-		for r := 0; r < 3; r++ {
-			parallel := r == 2
-			mode := "serial"
-			if parallel {
-				mode = "parallel"
-			}
-			d := filepath.Join(dir, fmt.Sprintf("chaos-%d-%s-%d", shards, mode, r))
-			oc, err := driveChaos(d, shards, replicas, policy, tp, cfg.Seed, parallel)
-			if err != nil {
-				return nil, fmt.Errorf("chaos soak: %d shards (%s run %d): %w", shards, mode, r, err)
-			}
-			runs[r] = oc
-		}
-		a := runs[0]
-		row := ChaosRow{
-			Shards:         shards,
-			Events:         len(tp.Events),
+	out := &ChaosResult{Events: p.events, Seed: p.cfg.Seed, Policy: p.policy, Replicas: p.replicas}
+	for _, w := range widths {
+		a := w.a
+		out.Rows = append(out.Rows, ChaosRow{
+			Shards:         w.shards,
+			Events:         w.events,
 			Ticks:          a.ticks,
 			Kills:          a.kills,
 			Evacs:          a.evacs,
 			Migrated:       a.migrated,
 			Evicted:        a.evicted,
+			Reopens:        a.health.Reopens,
+			StoreErrs:      a.health.TotalErrs,
 			Misses:         a.metrics.Misses,
 			MissesClean:    a.metrics.MissesClean,
 			Resident:       len(a.owners),
-			Replicas:       replicas,
+			Lost:           w.lost,
+			Orphans:        w.orphans,
+			Replicas:       p.replicas,
 			Wedges:         a.wedges,
 			FollowerWedges: a.fwedges,
-			RepeatMatch:    sameChaosOutcome(a, runs[1]),
-			ParallelMatch:  sameChaosOutcome(a, runs[2]),
-		}
-		for _, h := range a.healths {
-			row.Reopens += h.Reopens
-			row.StoreErrs += h.TotalErrs
-			row.Promotions += h.Promotions
-			row.Demotions += h.ReplicaDemotions
-			row.Reseeds += h.ReplicaReseeds
-		}
-		for _, d := range a.digests {
-			row.Digests = append(row.Digests, fmt.Sprintf("%016x", d))
-		}
-		// Zero silently lost: the model set (admitted − removed − evicted)
-		// must be exactly the live set, and the partition map must agree.
-		for name := range a.expect {
-			if _, ok := a.live[name]; !ok {
-				row.Lost++
-			}
-			if _, ok := a.owners[name]; !ok {
-				row.Lost++
-			}
-		}
-		for name := range a.live {
-			if !a.expect[name] {
-				row.Orphans++
-			}
-			if a.owners[name] != a.live[name] {
-				row.Orphans++
-			}
-		}
-		out.Rows = append(out.Rows, row)
-
-		switch {
-		case row.Lost > 0:
-			return nil, fmt.Errorf("chaos soak: %d shards: %d task(s) silently lost", shards, row.Lost)
-		case row.Orphans > 0:
-			return nil, fmt.Errorf("chaos soak: %d shards: %d orphaned task(s)", shards, row.Orphans)
-		case row.MissesClean > 0:
-			return nil, fmt.Errorf("chaos soak: %d shards: %d clean deadline miss(es)", shards, row.MissesClean)
-		case !row.RepeatMatch:
-			return nil, fmt.Errorf("chaos soak: %d shards: repeated serial drive diverged", shards)
-		case !row.ParallelMatch:
-			return nil, fmt.Errorf("chaos soak: %d shards: parallel drive diverged from serial", shards)
-		case replicas > 0 && row.Evacs+row.Evicted > 0:
-			// Replicated failure handling never evacuates or evicts: a dead
-			// drive is a failover, not a drain.
-			return nil, fmt.Errorf("chaos soak: %d shards: replicated run evacuated/evicted (%d/%d)",
-				shards, row.Evacs, row.Evicted)
-		case replicas > 0 && row.Wedges > 0 && row.Promotions == 0:
-			return nil, fmt.Errorf("chaos soak: %d shards: %d primary wedge(s) caused no promotion",
-				shards, row.Wedges)
-		}
+			Promotions:     a.health.Promotions,
+			Demotions:      a.health.ReplicaDemotions,
+			Reseeds:        a.health.ReplicaReseeds,
+			Digests:        w.digests,
+			RepeatMatch:    w.repeatMatch,
+			ParallelMatch:  w.parMatch,
+		})
 	}
 	return out, nil
 }
@@ -596,15 +206,12 @@ func FormatChaosSoak(r *ChaosResult) string {
 
 // WriteChaosSoakCSV emits the per-width rows.
 func WriteChaosSoakCSV(w io.Writer, r *ChaosResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"shards", "events", "ticks", "kills", "evacs", "migrated",
+	recs := [][]string{{"shards", "events", "ticks", "kills", "evacs", "migrated",
 		"evicted", "reopens", "store_errs", "misses", "misses_clean", "resident",
 		"lost", "orphans", "replicas", "wedges", "follower_wedges", "promotions",
-		"demotions", "reseeds", "repeat_match", "parallel_match"}); err != nil {
-		return err
-	}
+		"demotions", "reseeds", "repeat_match", "parallel_match"}}
 	for _, row := range r.Rows {
-		rec := []string{
+		recs = append(recs, []string{
 			strconv.Itoa(row.Shards),
 			strconv.Itoa(row.Events),
 			strconv.Itoa(row.Ticks),
@@ -627,11 +234,7 @@ func WriteChaosSoakCSV(w io.Writer, r *ChaosResult) error {
 			strconv.FormatUint(row.Reseeds, 10),
 			strconv.FormatBool(row.RepeatMatch),
 			strconv.FormatBool(row.ParallelMatch),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }

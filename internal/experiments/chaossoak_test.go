@@ -1,9 +1,42 @@
 package experiments
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// checkSoakGolden compares a soak result's three renderings — the text
+// summary, the CSV and the JSON artifact — byte for byte against
+// testdata/<name>.{txt,csv,json}. The goldens pin the soaks' exact
+// outcomes, so any change to a driver's tick schedule, routing or audit
+// that moves a single count shows up here.
+func checkSoakGolden(t *testing.T, name, text string, writeCSV func(io.Writer) error, artifact any) {
+	t.Helper()
+	var csvOut, jsonOut bytes.Buffer
+	if err := writeCSV(&csvOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSON(&jsonOut, artifact); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		ext string
+		got []byte
+	}{{".txt", []byte(text)}, {".csv", csvOut.Bytes()}, {".json", jsonOut.Bytes()}} {
+		path := filepath.Join("testdata", name+g.ext)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.got, want) {
+			t.Errorf("%s differs from the golden:\n got:\n%s\nwant:\n%s", path, g.got, want)
+		}
+	}
+}
 
 // TestChaosSoak runs a scaled-down chaos soak: seeded kills, wedge-
 // evacuations and storage faults over a churn tape, three drives per
@@ -47,6 +80,7 @@ func TestChaosSoak(t *testing.T) {
 	if lines := strings.Count(sb.String(), "\n"); lines != 2 {
 		t.Errorf("csv has %d lines, want header + 1 row", lines)
 	}
+	checkSoakGolden(t, "chaos_r0", out, func(w io.Writer) error { return WriteChaosSoakCSV(w, res) }, res)
 }
 
 // TestReplicatedChaosSoak is the zero-shed variant: every shard carries a
@@ -80,4 +114,5 @@ func TestReplicatedChaosSoak(t *testing.T) {
 	if !row.RepeatMatch || !row.ParallelMatch {
 		t.Fatalf("drives diverged: repeat=%v parallel=%v", row.RepeatMatch, row.ParallelMatch)
 	}
+	checkSoakGolden(t, "chaos_r1", FormatChaosSoak(res), func(w io.Writer) error { return WriteChaosSoakCSV(w, res) }, res)
 }

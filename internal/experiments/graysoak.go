@@ -2,18 +2,11 @@ package experiments
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
-
-	"nprt/internal/cluster"
-	"nprt/internal/journal"
-	schedrt "nprt/internal/runtime"
 )
 
 // The gray soak is the gray-failure counterpart of the chaos soak: no
@@ -65,6 +58,18 @@ const (
 	grayDeadline = 5 * time.Millisecond
 )
 
+// graySchedule is the gray soak: fault-free drives on virtual clocks, the
+// latency signal armed, and per tick at most one brownout. Every injector
+// is zero-rate (brownouts are the ONLY torment, driver-initiated at tick
+// boundaries — a seeded per-op slow probability would diverge between
+// serial and parallel drives, whose op counts differ).
+var graySchedule = soakSchedule{
+	name:   "gray",
+	clocks: true,
+	signal: true,
+	bands:  []soakBand{{grayBrownRate, soakBrownout}},
+}
+
 // GrayRow is the outcome at one cluster width.
 type GrayRow struct {
 	Shards int `json:"shards"`
@@ -113,291 +118,6 @@ type GrayResult struct {
 	Rows     []GrayRow `json:"rows"`
 }
 
-// grayOutcome is one drive's complete observable state.
-type grayOutcome struct {
-	digests          []uint64
-	owners           map[string]int
-	live             map[string]int
-	expect           map[string]bool
-	metrics          schedrt.Metrics
-	healths          []cluster.ShardHealth
-	ticks, brownouts int
-	misses           int
-	sheds            uint64
-}
-
-// grayBrown tracks one active brownout: which slot is slow and the tick
-// after which it heals.
-type grayBrown struct {
-	slot  int
-	until int
-}
-
-// driveGray plays the tape on a fresh cluster under dir with seeded
-// brownouts, in the given drive mode, and returns the outcome. sloOn
-// arms the latency signal (SLO fencing, deadline sheds, proactive
-// promotion); with it off the cluster is blind and every browned-window
-// event is a missed deadline. The cluster directory is removed before
-// returning.
-//
-// Determinism: every injector is zero-rate (brownouts are the ONLY
-// torment, driver-initiated at tick boundaries — a seeded per-op slow
-// probability would diverge between serial and parallel drives, whose op
-// counts differ), and each shard's slots AND its store writer share one
-// VirtualClock, so the observed WAL sojourn is exactly the injected
-// delay with zero wall-clock noise.
-func driveGray(dir string, shards, replicas int, policy string, tp *schedrt.Tape, seed uint64, parallel, sloOn bool) (*grayOutcome, error) {
-	defer os.RemoveAll(dir)
-	clocks := make([]*journal.VirtualClock, shards)
-	rfss := make([][]*journal.FaultFS, shards)
-	for i := range rfss {
-		clocks[i] = journal.NewVirtualClock()
-		rfss[i] = make([]*journal.FaultFS, replicas+1)
-		for slot := range rfss[i] {
-			s := seed ^ uint64(i+1)*chaosShardSalt ^ uint64(slot)*chaosReplicaSalt
-			rfss[i][slot] = journal.NewFaultFS(s, journal.FaultRates{})
-			rfss[i][slot].SetClock(clocks[i])
-		}
-	}
-	opt := cluster.Options{
-		Shards:    shards,
-		Replicas:  replicas,
-		Placement: policy,
-		Store:     schedrt.StoreOptions{NoSync: true, Runtime: schedrt.Options{Governor: churnGovernor}},
-		Inject:    func(si int) journal.Injector { return rfss[si][0] },
-		InjectReplica: func(si, slot int) journal.Injector {
-			return rfss[si][slot]
-		},
-		Clock: func(si int) journal.Clock { return clocks[si] },
-		Retry: cluster.RetryOptions{
-			MaxAttempts: 10,
-			Seed:        seed,
-			Sleep:       func(time.Duration) {}, // deterministic soaks spend no wall-clock
-		},
-	}
-	if sloOn {
-		opt.LatencySLO = graySLO
-		opt.AdmitDeadline = grayDeadline
-		// Window 1: the p99 is this epoch's samples alone, so one browned
-		// tick is detected at that tick's own sweep — and one promoted-
-		// away tick is enough to read recovered.
-		opt.LatencyWindow = 1
-	}
-	c, err := cluster.Open(dir, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-
-	horizon := int64(32)
-	if n := len(tp.Events); n > 0 {
-		horizon += tp.Events[n-1].Epoch
-	}
-	out := &grayOutcome{expect: make(map[string]bool)}
-	brown := make(map[int]grayBrown)
-	i := 0
-	for tick := 0; c.Epoch() < horizon; tick++ {
-		out.ticks = tick + 1
-		// Brownout draw, keyed on the monotonic tick (same stream shape as
-		// the chaos soak). The victim is the CURRENT primary slot's drive:
-		// after a promotion the next draw grays the new primary, so the
-		// failover path is re-exercised, not just re-confirmed.
-		action, victim := chaosDraw(seed, tick)
-		if action < grayBrownRate {
-			si := int(victim * float64(shards))
-			if si >= shards {
-				si = shards - 1
-			}
-			if b, ok := brown[si]; ok {
-				rfss[si][b.slot].Brownout(0)
-			}
-			slot := c.PrimarySlot(si)
-			rfss[si][slot].Brownout(grayDelay)
-			brown[si] = grayBrown{slot: slot, until: tick + grayBrownTicks}
-			out.brownouts++
-		}
-
-		// Route this tick's due events, exactly as the chaos soak does.
-		start := i
-		epoch := c.Epoch()
-		for i < len(tp.Events) && tp.Events[i].Epoch <= epoch {
-			i++
-		}
-		due := make([]schedrt.Event, 0, i-start)
-		for j := start; j < i; j++ {
-			due = append(due, tp.Events[j])
-		}
-		record := func(ev schedrt.Event, res cluster.Result, err error) error {
-			if err != nil {
-				if schedrt.IsStaleRequest(err) {
-					return nil
-				}
-				if sloOn && errors.Is(err, cluster.ErrShardSlow) {
-					// Deadline shed: the router refused rather than blow the
-					// deadline on a slow shard. A shed add was never admitted;
-					// a shed remove leaves the task live — the model must
-					// agree with the WAL on both.
-					out.sheds++
-					return nil
-				}
-				return fmt.Errorf("event at epoch %d: %w", ev.Epoch, err)
-			}
-			switch ev.Op {
-			case "add":
-				if res.Decision.Verdict != schedrt.Rejected {
-					out.expect[ev.Task.Task.Name] = true
-				}
-			case "remove":
-				delete(out.expect, ev.Name)
-			}
-			// Event-level deadline accounting: an event applied through a
-			// browned primary waited ≥ grayDelay > grayDeadline in the WAL.
-			if b, ok := brown[res.Shard]; ok && b.slot == c.PrimarySlot(res.Shard) {
-				out.misses++
-			}
-			return nil
-		}
-		if parallel {
-			results, errs, err := c.ApplyBatch(due)
-			if err != nil {
-				return nil, err
-			}
-			for j := range due {
-				if err := record(due[j], results[j], errs[j]); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for _, ev := range due {
-				res, err := c.Apply(ev)
-				if err := record(ev, res, err); err != nil {
-					return nil, err
-				}
-			}
-		}
-		// The epoch run is where the latency sweep fires: each due shard's
-		// tracker holds this tick's WAL sojourns (a browned drive delays
-		// every op equally, so serial and parallel drives read the same
-		// p99 from different op counts), and a breach fences the shard
-		// and — with replicas — promotes away from the browned primary.
-		if _, err := c.RunEpoch(parallel); err != nil {
-			return nil, err
-		}
-
-		// Tick-end maintenance: expire brownouts, then re-seed any out-of-
-		// sync follower (after a promotion the demoted old primary must be
-		// walked back to sync) under a suspended schedule, exactly as the
-		// chaos soak does.
-		for si, b := range brown {
-			if tick+1 >= b.until {
-				rfss[si][b.slot].Brownout(0)
-				delete(brown, si)
-			}
-		}
-		if replicas > 0 {
-			for s2 := 0; s2 < shards; s2++ {
-				var susp []*journal.FaultFS
-				for _, ri := range c.Replicas(s2) {
-					if !ri.InSync {
-						f := rfss[s2][ri.Slot]
-						f.Suspend()
-						susp = append(susp, f)
-					}
-				}
-				if len(susp) == 0 {
-					continue
-				}
-				_, err := c.ReseedReplicas(s2)
-				for _, f := range susp {
-					f.Resume()
-				}
-				if err != nil {
-					return nil, fmt.Errorf("gray reseed shard %d at tick %d: %w", s2, tick, err)
-				}
-			}
-		}
-		if (tick+1)%32 == 0 {
-			if err := c.Checkpoint(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if replicas > 0 {
-		// End-of-run redundancy audit, as in the chaos soak: byte-verify
-		// followers via a final checkpoint, one suspended re-seed pass,
-		// then anything still out of sync is a containment failure.
-		if err := c.Checkpoint(); err != nil {
-			return nil, err
-		}
-		for si := 0; si < shards; si++ {
-			var susp []*journal.FaultFS
-			for _, ri := range c.Replicas(si) {
-				if !ri.InSync {
-					f := rfss[si][ri.Slot]
-					f.Suspend()
-					susp = append(susp, f)
-				}
-			}
-			if len(susp) > 0 {
-				_, err := c.ReseedReplicas(si)
-				for _, f := range susp {
-					f.Resume()
-				}
-				if err != nil {
-					return nil, fmt.Errorf("gray: final reseed shard %d: %w", si, err)
-				}
-			}
-			for _, ri := range c.Replicas(si) {
-				if !ri.InSync {
-					return nil, fmt.Errorf("gray: shard %d follower slot %d out of sync at end: %s",
-						si, ri.Slot, ri.LastError)
-				}
-			}
-		}
-	}
-
-	out.digests = c.Digests()
-	out.owners = c.Owners()
-	out.live = make(map[string]int)
-	for _, sh := range c.Shards() {
-		for _, sp := range sh.Store.Runtime().Tasks() {
-			out.live[sp.Task.Name] = sh.ID
-		}
-	}
-	out.metrics = c.Metrics()
-	out.healths = c.Healths()
-	return out, nil
-}
-
-// sameGrayOutcome holds the gray determinism claim: final bytes and owner
-// map, plus the CONTAINMENT TRACE — per-shard promotion counts, deadline
-// sheds, and browned-window misses — must agree between drives.
-func sameGrayOutcome(a, b *grayOutcome) bool {
-	if len(a.digests) != len(b.digests) || len(a.owners) != len(b.owners) {
-		return false
-	}
-	for i := range a.digests {
-		if a.digests[i] != b.digests[i] {
-			return false
-		}
-	}
-	for k, v := range a.owners {
-		if b.owners[k] != v {
-			return false
-		}
-	}
-	if len(a.healths) != len(b.healths) {
-		return false
-	}
-	for i := range a.healths {
-		if a.healths[i].Promotions != b.healths[i].Promotions {
-			return false
-		}
-	}
-	return a.sheds == b.sheds && a.misses == b.misses
-}
-
 // GraySoak plays one churn tape per width under seeded brownouts. Each
 // width drives the tape four times: signal-armed serial twice and
 // concurrent once (all three must agree exactly — digests, owners,
@@ -408,104 +128,36 @@ func sameGrayOutcome(a, b *grayOutcome) bool {
 // > 0), or an armed drive missing more deadlines than the blind one is
 // an error, not a data point.
 func GraySoak(cfg Config, dir string, events int, shardCounts []int, policy string, replicas int) (*GrayResult, error) {
-	cfg = cfg.withDefaults()
-	if events <= 0 {
-		events = 1200
+	p := soakArgs{cfg, dir, events, shardCounts, policy, replicas}.withDefaults(GrayShardCounts)
+	widths, err := graySchedule.run(p)
+	if err != nil {
+		return nil, err
 	}
-	if len(shardCounts) == 0 {
-		shardCounts = GrayShardCounts
-	}
-	if policy == "" {
-		policy = "first-fit"
-	}
-	if replicas < 0 {
-		replicas = 0
-	}
-	tp := GenerateChurnTape(cfg.Seed, events)
-
-	out := &GrayResult{Events: events, Seed: cfg.Seed, Policy: policy, Replicas: replicas}
-	for _, shards := range shardCounts {
-		var runs [3]*grayOutcome
-		for r := 0; r < 3; r++ {
-			parallel := r == 2
-			mode := "serial"
-			if parallel {
-				mode = "parallel"
-			}
-			d := filepath.Join(dir, fmt.Sprintf("gray-%d-%s-%d", shards, mode, r))
-			oc, err := driveGray(d, shards, replicas, policy, tp, cfg.Seed, parallel, true)
-			if err != nil {
-				return nil, fmt.Errorf("gray soak: %d shards (%s run %d): %w", shards, mode, r, err)
-			}
-			runs[r] = oc
-		}
-		blind, err := driveGray(filepath.Join(dir, fmt.Sprintf("gray-%d-blind", shards)),
-			shards, replicas, policy, tp, cfg.Seed, false, false)
-		if err != nil {
-			return nil, fmt.Errorf("gray soak: %d shards (blind run): %w", shards, err)
-		}
-
-		a := runs[0]
-		row := GrayRow{
-			Shards:         shards,
-			Events:         len(tp.Events),
+	out := &GrayResult{Events: p.events, Seed: p.cfg.Seed, Policy: p.policy, Replicas: p.replicas}
+	for _, w := range widths {
+		a := w.a
+		// DeadlineSheds is the driver-side event count; the per-shard health
+		// counters tally the same events, so folding them in would
+		// double-count.
+		out.Rows = append(out.Rows, GrayRow{
+			Shards:         w.shards,
+			Events:         w.events,
 			Ticks:          a.ticks,
 			Brownouts:      a.brownouts,
+			SlowEvents:     a.health.SlowEvents,
+			Promotions:     a.health.Promotions,
 			Misses:         a.misses,
-			MissesNoSignal: blind.misses,
+			MissesNoSignal: w.blindMisses,
 			DeadlineSheds:  a.sheds,
 			MissesClean:    a.metrics.MissesClean,
 			Resident:       len(a.owners),
-			Replicas:       replicas,
-			RepeatMatch:    sameGrayOutcome(a, runs[1]),
-			ParallelMatch:  sameGrayOutcome(a, runs[2]),
-		}
-		// DeadlineSheds stays the driver-side event count (a.sheds); the
-		// per-shard health counters tally the same events, so folding them
-		// in here would double-count.
-		for _, h := range a.healths {
-			row.SlowEvents += h.SlowEvents
-			row.Promotions += h.Promotions
-		}
-		for _, d := range a.digests {
-			row.Digests = append(row.Digests, fmt.Sprintf("%016x", d))
-		}
-		for name := range a.expect {
-			if _, ok := a.live[name]; !ok {
-				row.Lost++
-			}
-			if _, ok := a.owners[name]; !ok {
-				row.Lost++
-			}
-		}
-		for name := range a.live {
-			if !a.expect[name] {
-				row.Orphans++
-			}
-			if a.owners[name] != a.live[name] {
-				row.Orphans++
-			}
-		}
-		out.Rows = append(out.Rows, row)
-
-		switch {
-		case row.Lost > 0:
-			return nil, fmt.Errorf("gray soak: %d shards: %d task(s) silently lost", shards, row.Lost)
-		case row.Orphans > 0:
-			return nil, fmt.Errorf("gray soak: %d shards: %d orphaned task(s)", shards, row.Orphans)
-		case row.MissesClean > 0:
-			return nil, fmt.Errorf("gray soak: %d shards: %d clean deadline miss(es)", shards, row.MissesClean)
-		case !row.RepeatMatch:
-			return nil, fmt.Errorf("gray soak: %d shards: repeated serial drive diverged", shards)
-		case !row.ParallelMatch:
-			return nil, fmt.Errorf("gray soak: %d shards: parallel drive diverged from serial", shards)
-		case replicas > 0 && row.Brownouts > 0 && row.Promotions == 0:
-			return nil, fmt.Errorf("gray soak: %d shards: %d brownout(s) forced no promotion",
-				shards, row.Brownouts)
-		case row.MissesNoSignal < row.Misses:
-			return nil, fmt.Errorf("gray soak: %d shards: latency signal made misses WORSE (%d armed vs %d blind)",
-				shards, row.Misses, row.MissesNoSignal)
-		}
+			Lost:           w.lost,
+			Orphans:        w.orphans,
+			Replicas:       p.replicas,
+			Digests:        w.digests,
+			RepeatMatch:    w.repeatMatch,
+			ParallelMatch:  w.parMatch,
+		})
 	}
 	return out, nil
 }
@@ -528,14 +180,11 @@ func FormatGraySoak(r *GrayResult) string {
 
 // WriteGraySoakCSV emits the per-width rows.
 func WriteGraySoakCSV(w io.Writer, r *GrayResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"shards", "events", "ticks", "brownouts", "slow_events",
+	recs := [][]string{{"shards", "events", "ticks", "brownouts", "slow_events",
 		"promotions", "deadline_sheds", "misses", "misses_no_signal", "misses_clean",
-		"resident", "lost", "orphans", "replicas", "repeat_match", "parallel_match"}); err != nil {
-		return err
-	}
+		"resident", "lost", "orphans", "replicas", "repeat_match", "parallel_match"}}
 	for _, row := range r.Rows {
-		rec := []string{
+		recs = append(recs, []string{
 			strconv.Itoa(row.Shards),
 			strconv.Itoa(row.Events),
 			strconv.Itoa(row.Ticks),
@@ -552,11 +201,7 @@ func WriteGraySoakCSV(w io.Writer, r *GrayResult) error {
 			strconv.Itoa(row.Replicas),
 			strconv.FormatBool(row.RepeatMatch),
 			strconv.FormatBool(row.ParallelMatch),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(recs)
 }

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // TestGraySoakReplicated holds the headline gray-failure claim end to
 // end: seeded brownouts on primary drives, latency signal armed,
@@ -34,6 +37,7 @@ func TestGraySoakReplicated(t *testing.T) {
 		t.Fatalf("latency signal saved nothing: %d armed vs %d blind misses",
 			row.Misses, row.MissesNoSignal)
 	}
+	checkSoakGolden(t, "gray_r1", FormatGraySoak(r), func(w io.Writer) error { return WriteGraySoakCSV(w, r) }, r)
 }
 
 // TestGraySoakUnreplicated: without replicas there is no failover, but
@@ -57,4 +61,5 @@ func TestGraySoakUnreplicated(t *testing.T) {
 	if row.SlowEvents == 0 {
 		t.Fatal("latency signal never fired despite brownouts")
 	}
+	checkSoakGolden(t, "gray_r0", FormatGraySoak(r), func(w io.Writer) error { return WriteGraySoakCSV(w, r) }, r)
 }

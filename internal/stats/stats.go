@@ -147,63 +147,6 @@ func (r *Rate) String() string {
 	return fmt.Sprintf("%.1f%% (%d/%d)", r.Percent(), r.Events, r.Trials)
 }
 
-// Histogram is a fixed-bin histogram over [Lo, Hi) with out-of-range
-// observations clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int64
-}
-
-// NewHistogram returns a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Bins) {
-		i = len(h.Bins) - 1
-	}
-	h.Bins[i]++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, b := range h.Bins {
-		t += b
-	}
-	return t
-}
-
-// Quantile returns an approximate q-quantile (bin midpoint), q in [0,1].
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var seen int64
-	width := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, b := range h.Bins {
-		seen += b
-		if seen > target {
-			return h.Lo + (float64(i)+0.5)*width
-		}
-	}
-	return h.Hi
-}
-
 // MeanOf returns the arithmetic mean of a slice (0 when empty).
 func MeanOf(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -113,44 +113,6 @@ func TestRate(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	if h.Total() != 12 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Bins[0] != 2 || h.Bins[9] != 2 {
-		t.Errorf("edge clamping wrong: %v", h.Bins)
-	}
-	med := h.Quantile(0.5)
-	if med < 3 || med > 7 {
-		t.Errorf("median estimate = %g", med)
-	}
-	if q := h.Quantile(1.0); q < 9 {
-		t.Errorf("q100 = %g", q)
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-}
-
 func TestSliceHelpers(t *testing.T) {
 	if MeanOf(nil) != 0 || StdDevOf(nil) != 0 || MedianOf(nil) != 0 {
 		t.Error("empty-slice helpers should return 0")
