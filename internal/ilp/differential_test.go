@@ -10,7 +10,14 @@
 package ilp_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,24 +41,63 @@ const tableINodeBudget = 200
 // deepest-mode EDF order.
 func tableIModels(t *testing.T) (names []string, models []*ilp.Problem) {
 	t.Helper()
-	cases, err := workload.CachedCases()
+	names, models, err := buildTableIModels()
 	if err != nil {
 		t.Fatal(err)
+	}
+	return names, models
+}
+
+func buildTableIModels() (names []string, models []*ilp.Problem, err error) {
+	cases, err := workload.CachedCases()
+	if err != nil {
+		return nil, nil, err
 	}
 	for _, c := range cases {
 		s := c.MustSet()
 		order, err := offline.EDFOrder(s, task.Deepest)
 		if err != nil {
-			t.Fatalf("%s: EDF order: %v", c.Name, err)
+			return nil, nil, fmt.Errorf("%s: EDF order: %w", c.Name, err)
 		}
 		names = append(names, c.Name)
 		models = append(models, offline.BuildModeILP(s, order))
 	}
 	if len(models) != 14 {
-		t.Fatalf("expected the 14 Table-I models, got %d", len(models))
+		return nil, nil, fmt.Errorf("expected the 14 Table-I models, got %d", len(models))
 	}
-	return names, models
+	return names, models, nil
 }
+
+// tableIRun holds the serial tableINodeBudget solves of every Table-I
+// model under both bound encodings.
+type tableIRun struct {
+	names         []string
+	models        []*ilp.Problem
+	native, dense []*ilp.Solution
+}
+
+// tableISerial solves the Table-I models once per test binary; the tests
+// that compare against serial results share it instead of re-solving.
+var tableISerial = sync.OnceValues(func() (*tableIRun, error) {
+	names, models, err := buildTableIModels()
+	if err != nil {
+		return nil, err
+	}
+	run := &tableIRun{names: names, models: models}
+	for i, p := range models {
+		nat, err := ilp.Solve(p, ilp.Options{MaxNodes: tableINodeBudget})
+		if err != nil {
+			return nil, fmt.Errorf("%s native: %w", names[i], err)
+		}
+		den, err := ilp.Solve(p, ilp.Options{MaxNodes: tableINodeBudget, DenseRowBounds: true})
+		if err != nil {
+			return nil, fmt.Errorf("%s dense: %w", names[i], err)
+		}
+		run.native = append(run.native, nat)
+		run.dense = append(run.dense, den)
+	}
+	return run, nil
+})
 
 // integralFeasible verifies x against every row and native bound of p and
 // that integral variables are integers — an incumbent check independent of
@@ -102,17 +148,12 @@ func integralFeasible(p *ilp.Problem, x []float64) bool {
 // objective and mode assignment, and every budget-limited incumbent must be
 // independently verified integral-feasible.
 func TestTableIDenseRowDifferential(t *testing.T) {
-	names, models := tableIModels(t)
-	for i, p := range models {
-		name := names[i]
-		nat, err := ilp.Solve(p, ilp.Options{MaxNodes: tableINodeBudget})
-		if err != nil {
-			t.Fatalf("%s native: %v", name, err)
-		}
-		den, err := ilp.Solve(p, ilp.Options{MaxNodes: tableINodeBudget, DenseRowBounds: true})
-		if err != nil {
-			t.Fatalf("%s dense: %v", name, err)
-		}
+	run, err := tableISerial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range run.models {
+		name, nat, den := run.names[i], run.native[i], run.dense[i]
 		if nat.Status != den.Status {
 			t.Errorf("%s: status native=%v dense=%v", name, nat.Status, den.Status)
 			continue
@@ -156,17 +197,21 @@ func TestLegacyModelEncodingAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run, err := tableISerial()
+	if err != nil {
+		t.Fatal(err)
+	}
 	terminated := 0
-	for _, c := range cases {
+	for i, c := range cases {
+		if c.Name != run.names[i] {
+			t.Fatalf("case %d is %s, serial run has %s", i, c.Name, run.names[i])
+		}
 		s := c.MustSet()
 		order, err := offline.EDFOrder(s, task.Deepest)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		nat, err := ilp.Solve(offline.BuildModeILP(s, order), ilp.Options{MaxNodes: tableINodeBudget})
-		if err != nil {
-			t.Fatal(err)
-		}
+		nat := run.native[i]
 		if nat.Status != ilp.Optimal && nat.Status != ilp.Infeasible {
 			continue // budget-limited: legacy explores a same-size but possibly different tree
 		}
@@ -189,42 +234,89 @@ func TestLegacyModelEncodingAgrees(t *testing.T) {
 	}
 }
 
-// TestTableIParallelBitIdentical: for every Table-I model and several worker
-// counts, the parallel search must reproduce the serial run bit for bit —
-// status, objective, incumbent vector, node count, and best bound. This is
-// the determinism contract that makes -ilpworkers safe to flip in the
-// experiment harness.
+// goldenLine renders one Table-I result for the golden file: status, node
+// count, the exact bits of Objective and BestBound, and an FNV-1a hash of
+// the incumbent's bits (its length included).
+func goldenLine(name, enc string, sol *ilp.Solution) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(sol.X)))
+	h.Write(buf[:])
+	for _, v := range sol.X {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%s %s %v nodes=%d obj=%016x bound=%016x x=%016x\n", name, enc, sol.Status,
+		sol.Nodes, math.Float64bits(sol.Objective), math.Float64bits(sol.BestBound), h.Sum64())
+}
+
+// TestTableIParallelBitIdentical: for every Table-I model, both bound
+// encodings and several worker counts, the search must reproduce the
+// golden in testdata/tableI_golden.txt bit for bit — status, node count,
+// objective, best bound and incumbent hash — and every parallel run must
+// reproduce its serial incumbent vector exactly. The golden was recorded
+// with the all-columns simplex kernel (refSolve in internal/lp's tests), so
+// it pins the solver's absolute results, not just serial against parallel.
+// This is the determinism contract that makes -ilpworkers safe to flip in
+// the experiment harness.
 func TestTableIParallelBitIdentical(t *testing.T) {
-	names, models := tableIModels(t)
-	for i, p := range models {
-		name := names[i]
-		serial, err := ilp.Solve(p, ilp.Options{MaxNodes: tableINodeBudget})
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			par, err := ilp.Solve(p, ilp.Options{MaxNodes: tableINodeBudget, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if par.Status != serial.Status || par.Objective != serial.Objective ||
-				par.Nodes != serial.Nodes || par.BestBound != serial.BestBound {
-				t.Errorf("%s workers=%d: {%v %.12f nodes=%d bound=%.12f} != serial {%v %.12f nodes=%d bound=%.12f}",
-					name, w, par.Status, par.Objective, par.Nodes, par.BestBound,
-					serial.Status, serial.Objective, serial.Nodes, serial.BestBound)
-			}
-			if len(par.X) != len(serial.X) {
-				t.Errorf("%s workers=%d: incumbent length %d != %d", name, w, len(par.X), len(serial.X))
-				continue
-			}
-			for j := range par.X {
-				if par.X[j] != serial.X[j] {
-					t.Errorf("%s workers=%d: X[%d]=%v != serial %v (must be bit-identical)", name, w, j, par.X[j], serial.X[j])
-					break
+	want, err := os.ReadFile(filepath.Join("testdata", "tableI_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := tableISerial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := run.names
+	for _, enc := range []struct {
+		name   string
+		dense  bool
+		serial []*ilp.Solution
+	}{{"native", false, run.native}, {"dense", true, run.dense}} {
+		serial := enc.serial
+		for _, w := range []int{1, 2, 4, 8} {
+			var got strings.Builder
+			for i, p := range run.models {
+				sol := serial[i]
+				if w > 1 {
+					if sol, err = ilp.Solve(p, ilp.Options{MaxNodes: tableINodeBudget, Workers: w, DenseRowBounds: enc.dense}); err != nil {
+						t.Fatalf("%s %s workers=%d: %v", names[i], enc.name, w, err)
+					}
 				}
+				got.WriteString(goldenLine(names[i], enc.name, sol))
+				if w == 1 {
+					continue
+				}
+				if len(sol.X) != len(serial[i].X) {
+					t.Errorf("%s %s workers=%d: incumbent length %d != %d", names[i], enc.name, w, len(sol.X), len(serial[i].X))
+					continue
+				}
+				for j := range sol.X {
+					if sol.X[j] != serial[i].X[j] {
+						t.Errorf("%s %s workers=%d: X[%d]=%v != serial %v (must be bit-identical)",
+							names[i], enc.name, w, j, sol.X[j], serial[i].X[j])
+						break
+					}
+				}
+			}
+			if wantEnc := goldenSection(string(want), enc.name); got.String() != wantEnc {
+				t.Errorf("%s workers=%d differs from the golden:\n got:\n%s\nwant:\n%s", enc.name, w, got.String(), wantEnc)
 			}
 		}
 	}
+}
+
+// goldenSection returns the golden lines of one bound encoding, in file
+// order.
+func goldenSection(golden, enc string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(golden, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[1] == enc {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
 }
 
 // TestRandomILPDifferential solves ≥100 randomized mixed ILPs to completion

@@ -219,6 +219,14 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 		st.solvers[w] = new(lp.Solver)
 		st.lo[w] = make([]float64, n)
 		st.up[w] = make([]float64, n)
+		// Native bounds leave the rows unchanged at every node: each worker
+		// loads them once and then solves node by node with bounds only.
+		// The dense-row path appends rows per node and reloads in solveNode.
+		if !opt.DenseRowBounds {
+			if err := st.solvers[w].Load(p.LP); err != nil {
+				return nil, err
+			}
+		}
 	}
 	sol := st.sol
 
@@ -374,7 +382,7 @@ func (st *bbState) tryIncumbent(x []float64, obj float64) {
 }
 
 // solveNode materializes nd's bound chain and solves its LP relaxation with
-// worker w's pooled simplex.
+// worker w's pooled simplex, whose rows were loaded once in Solve.
 func (st *bbState) solveNode(w int, nd *node) (*lp.Solution, error) {
 	if st.opt.DenseRowBounds {
 		return st.solveNodeDense(w, nd)
@@ -398,8 +406,7 @@ func (st *bbState) solveNode(w int, nd *node) (*lp.Solution, error) {
 			}
 		}
 	}
-	sub := lp.Problem{NumVars: st.p.LP.NumVars, C: st.p.LP.C, Rows: st.p.LP.Rows, Lo: lo, Up: up}
-	return st.solvers[w].Solve(&sub)
+	return st.solvers[w].SolveLoaded(lo, up)
 }
 
 // solveNodeDense is the retained legacy encoding: every branching bound

@@ -93,6 +93,21 @@ func TestIntegerInfeasible(t *testing.T) {
 	}
 }
 
+// TestLongRowRejected: a row with more coefficients than variables is
+// reported as an error under both bound encodings, before the root
+// heuristic's rounding check could index past the incumbent vector.
+func TestLongRowRejected(t *testing.T) {
+	p := NewProblem(1)
+	p.LP.C = []float64{1}
+	p.LP.Rows = append(p.LP.Rows, lp.Constraint{Coef: []float64{1, 1}, Sense: lp.GE, RHS: 0.5})
+	p.SetInteger(0)
+	for _, dense := range []bool{false, true} {
+		if _, err := Solve(p, Options{DenseRowBounds: dense}); err == nil {
+			t.Errorf("DenseRowBounds=%v: a row longer than NumVars was accepted", dense)
+		}
+	}
+}
+
 func TestLPInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	p.LP.C = []float64{1}

@@ -14,10 +14,21 @@
 // internal/ilp tighten bounds at every tree node without growing the
 // tableau with tree depth.
 //
-// The implementation favours clarity and numerical robustness over speed:
-// the scheduling models it solves have a few hundred rows and columns, where
-// dense tableaus are perfectly adequate. A Solver can be reused across
-// solves to pool the tableau allocation (the branch-and-bound hot loop).
+// The tableau is stored dense, but the work follows the sparsity. The
+// scheduling models have a few hundred rows and columns, and a pivot row
+// holds only a few nonzeros, so a pivot divides and eliminates only over
+// the pivot row's nonzero columns, and once phase 1 has blanked the
+// artificial columns, pricing and pivots stop before them. Each nonzero
+// entry gets exactly the floating-point operations, in the same order,
+// that a pass over every column would give it, so the pivot sequence and
+// the results are bit-identical to the all-columns kernel kept in the
+// package's tests as an oracle.
+//
+// A Solver can be reused across solves to pool the tableau allocation.
+// For a branch and bound, whose nodes differ only in variable bounds, it
+// splits a solve in two: Load checks the rows and keeps them in sparse
+// form once, and SolveLoaded then solves under each node's bounds without
+// reading the dense rows again.
 package lp
 
 import (
@@ -48,8 +59,8 @@ func (s Sense) String() string {
 	return "?"
 }
 
-// Constraint is one row a·x (sense) b. Coef must have the problem's variable
-// count; missing trailing zeros are allowed.
+// Constraint is one row a·x (sense) b. Coef has at most the problem's variable
+// count (Solve rejects a longer row); missing trailing zeros are allowed.
 type Constraint struct {
 	Coef  []float64
 	Sense Sense
@@ -156,26 +167,42 @@ func Solve(p *Problem) (*Solution, error) {
 
 // Solver is a reusable dense simplex. The zero value is ready to use; all
 // scratch state (tableau backing array, basis, bound bookkeeping) is pooled
-// across Solve calls, so a warm Solver allocates only the returned Solution.
+// across solves, so a warm Solver allocates only the returned Solution.
 // A Solver is not safe for concurrent use; give each goroutine its own.
 type Solver struct {
+	// The loaded problem (Load): objective and rows in index/value form,
+	// before any lower-bound shift. Row i's entries are
+	// rowIdx/rowVal[rowStart[i]:rowStart[i+1]], in ascending column order.
+	nVars    int
+	c        []float64
+	rowStart []int
+	rowIdx   []int
+	rowVal   []float64
+	rowRHS   []float64
+	rowSense []Sense
+
 	m, n int // constraint rows; total structural+slack+artificial columns
+	// live bounds the columns that can hold a nonzero: all n during phase
+	// 1, structural+slack once the artificial columns are blanked.
+	live int
 
 	flat  []float64   // backing storage for the tableau
 	a     [][]float64 // row views into flat; a[m] is the objective row
 	basis []int       // basis[i] = column basic in row i
+	nz    []int       // pivot-row nonzero pattern, RHS column included
 
 	ub   []float64 // per-column upper bound in shifted space (slack/art: +Inf)
 	flip []bool    // column j is expressed as u_j − x_j (nonbasic at upper)
 	lo   []float64 // structural lower bounds (the shift)
 
-	rowCoef  []float64 // normalized row coefficients, m×n
-	rowRHS   []float64
-	rowSense []Sense
-	artCols  []int
+	rhs     []float64 // shifted RHS, made non-negative
+	neg     []bool    // row i was negated to make its shifted RHS non-negative
+	sense   []Sense   // row senses after negation
+	artCols []int
 }
 
-// Solve runs the two-phase bounded-variable simplex.
+// Solve runs the two-phase bounded-variable simplex: Load(p), then
+// SolveLoaded(p.Lo, p.Up).
 //
 // Internally every structural variable is shifted by its lower bound
 // (x = lo + x̃, 0 ≤ x̃ ≤ up−lo) and nonbasic variables rest at either end of
@@ -186,66 +213,101 @@ type Solver struct {
 // bound, and the entering variable may hit its own opposite bound first —
 // a bound flip that re-substitutes the column without any pivot.
 func (sv *Solver) Solve(p *Problem) (*Solution, error) {
-	if len(p.C) != p.NumVars {
-		return nil, fmt.Errorf("lp: objective has %d coefficients for %d variables", len(p.C), p.NumVars)
+	if err := sv.Load(p); err != nil {
+		return nil, err
 	}
-	if p.Lo != nil && len(p.Lo) != p.NumVars {
-		return nil, fmt.Errorf("lp: Lo has %d entries for %d variables", len(p.Lo), p.NumVars)
-	}
-	if p.Up != nil && len(p.Up) != p.NumVars {
-		return nil, fmt.Errorf("lp: Up has %d entries for %d variables", len(p.Up), p.NumVars)
-	}
-	m := len(p.Rows)
+	return sv.SolveLoaded(p.Lo, p.Up)
+}
+
+// Load validates p's objective and rows and keeps a compressed copy of
+// them for SolveLoaded, so a branch and bound that only changes variable
+// bounds pays for reading the dense rows once, not once per node. Later
+// changes to p do not affect the loaded copy.
+func (sv *Solver) Load(p *Problem) error {
+	sv.rowStart = sv.rowStart[:0] // nothing is loaded until p checks out
 	n := p.NumVars
+	if len(p.C) != n {
+		return fmt.Errorf("lp: objective has %d coefficients for %d variables", len(p.C), n)
+	}
+	for i, r := range p.Rows {
+		if len(r.Coef) > n {
+			return fmt.Errorf("lp: row %d %q has %d coefficients for %d variables", i, r.Name, len(r.Coef), n)
+		}
+	}
+	sv.nVars = n
+	sv.c = append(sv.c[:0], p.C...)
+	sv.rowStart = append(sv.rowStart, 0)
+	sv.rowIdx, sv.rowVal = sv.rowIdx[:0], sv.rowVal[:0]
+	sv.rowRHS, sv.rowSense = sv.rowRHS[:0], sv.rowSense[:0]
+	for _, r := range p.Rows {
+		for j, v := range r.Coef {
+			if v != 0 {
+				sv.rowIdx = append(sv.rowIdx, j)
+				sv.rowVal = append(sv.rowVal, v)
+			}
+		}
+		sv.rowStart = append(sv.rowStart, len(sv.rowIdx))
+		sv.rowRHS = append(sv.rowRHS, r.RHS)
+		sv.rowSense = append(sv.rowSense, r.Sense)
+	}
+	return nil
+}
+
+// SolveLoaded solves the loaded problem under the variable bounds lo ≤ x ≤
+// up; nil lo or up means the default 0 or +∞. Its cost before the first
+// pivot is the tableau fill plus O(nonzeros), with no pass over the dense
+// rows.
+func (sv *Solver) SolveLoaded(lo, up []float64) (*Solution, error) {
+	if len(sv.rowStart) == 0 {
+		return nil, errors.New("lp: SolveLoaded without a loaded problem")
+	}
+	n := sv.nVars
+	if lo != nil && len(lo) != n {
+		return nil, fmt.Errorf("lp: Lo has %d entries for %d variables", len(lo), n)
+	}
+	if up != nil && len(up) != n {
+		return nil, fmt.Errorf("lp: Up has %d entries for %d variables", len(up), n)
+	}
+	m := len(sv.rowRHS)
 	sol := &Solution{}
 
 	// Shift structural variables to lower bound zero and reject empty boxes.
 	sv.lo = resize(sv.lo, n)
 	for j := 0; j < n; j++ {
-		lo := 0.0
-		if p.Lo != nil {
-			lo = p.Lo[j]
+		l := 0.0
+		if lo != nil {
+			l = lo[j]
 		}
-		if math.IsInf(lo, -1) || math.IsNaN(lo) {
-			return nil, fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, lo)
+		if math.IsInf(l, -1) || math.IsNaN(l) {
+			return nil, fmt.Errorf("lp: variable %d has non-finite lower bound %g", j, l)
 		}
-		sv.lo[j] = lo
-		up := math.Inf(1)
-		if p.Up != nil {
-			up = p.Up[j]
+		sv.lo[j] = l
+		u := math.Inf(1)
+		if up != nil {
+			u = up[j]
 		}
-		if up < lo-eps {
+		if u < l-eps {
 			sol.Status = Infeasible
 			return sol, nil
 		}
 	}
 
-	// Normalize rows: substitute the shift into the RHS, then flip rows to
-	// b ≥ 0 so phase 1 can start from the slack/artificial basis.
-	sv.rowCoef = resize(sv.rowCoef, m*n)
-	sv.rowRHS = resize(sv.rowRHS, m)
-	if cap(sv.rowSense) < m {
-		sv.rowSense = make([]Sense, m)
+	// Normalize rows: substitute the shift into the RHS, then negate rows
+	// to b ≥ 0 so phase 1 can start from the slack/artificial basis. The
+	// negation is kept per row: a negated EQ row keeps its sense.
+	sv.rhs = resize(sv.rhs, m)
+	sv.neg = resizeBool(sv.neg, m)
+	if cap(sv.sense) < m {
+		sv.sense = make([]Sense, m)
 	}
-	sv.rowSense = sv.rowSense[:m]
-	for i, r := range p.Rows {
-		coef := sv.rowCoef[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			if j < len(r.Coef) {
-				coef[j] = r.Coef[j]
-			} else {
-				coef[j] = 0
-			}
+	sv.sense = sv.sense[:m]
+	for i := 0; i < m; i++ {
+		rhs := sv.rowRHS[i]
+		for k := sv.rowStart[i]; k < sv.rowStart[i+1]; k++ {
+			rhs -= sv.rowVal[k] * sv.lo[sv.rowIdx[k]]
 		}
-		rhs := r.RHS
-		for j := 0; j < n; j++ {
-			rhs -= coef[j] * sv.lo[j]
-		}
-		sense := r.Sense
-		if rhs < 0 {
-			for j := range coef {
-				coef[j] = -coef[j]
-			}
+		sense, neg := sv.rowSense[i], rhs < 0
+		if neg {
 			rhs = -rhs
 			switch sense {
 			case LE:
@@ -254,12 +316,12 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 				sense = LE
 			}
 		}
-		sv.rowRHS[i], sv.rowSense[i] = rhs, sense
+		sv.rhs[i], sv.neg[i], sv.sense[i] = rhs, neg, sense
 	}
 
 	// Column layout: [structural | slacks/surplus | artificials | RHS].
 	nSlack, nArt := 0, 0
-	for _, s := range sv.rowSense {
+	for _, s := range sv.sense {
 		if s != EQ {
 			nSlack++
 		}
@@ -268,7 +330,7 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 		}
 	}
 	total := n + nSlack + nArt
-	sv.m, sv.n = m, total
+	sv.m, sv.n, sv.live = m, total, total
 	sv.flat = resize(sv.flat, (m+1)*(total+1))
 	for i := range sv.flat {
 		sv.flat[i] = 0
@@ -282,18 +344,15 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 	}
 	sv.basis = resizeInt(sv.basis, m)
 	sv.ub = resize(sv.ub, total)
-	if cap(sv.flip) < total {
-		sv.flip = make([]bool, total)
-	}
-	sv.flip = sv.flip[:total]
+	sv.flip = resizeBool(sv.flip, total)
 	for j := 0; j < total; j++ {
 		sv.flip[j] = false
 		if j < n {
-			up := math.Inf(1)
-			if p.Up != nil {
-				up = p.Up[j]
+			u := math.Inf(1)
+			if up != nil {
+				u = up[j]
 			}
-			u := up - sv.lo[j]
+			u -= sv.lo[j]
 			if u < 0 {
 				u = 0
 			}
@@ -306,22 +365,29 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 	slackAt, artAt := n, n+nSlack
 	sv.artCols = sv.artCols[:0]
 	for i := 0; i < m; i++ {
-		copy(sv.a[i], sv.rowCoef[i*n:(i+1)*n])
-		sv.a[i][total] = sv.rowRHS[i]
-		switch sv.rowSense[i] {
+		row := sv.a[i]
+		for k := sv.rowStart[i]; k < sv.rowStart[i+1]; k++ {
+			v := sv.rowVal[k]
+			if sv.neg[i] {
+				v = -v
+			}
+			row[sv.rowIdx[k]] = v
+		}
+		row[total] = sv.rhs[i]
+		switch sv.sense[i] {
 		case LE:
-			sv.a[i][slackAt] = 1
+			row[slackAt] = 1
 			sv.basis[i] = slackAt
 			slackAt++
 		case GE:
-			sv.a[i][slackAt] = -1
+			row[slackAt] = -1
 			slackAt++
-			sv.a[i][artAt] = 1
+			row[artAt] = 1
 			sv.basis[i] = artAt
 			sv.artCols = append(sv.artCols, artAt)
 			artAt++
 		case EQ:
-			sv.a[i][artAt] = 1
+			row[artAt] = 1
 			sv.basis[i] = artAt
 			sv.artCols = append(sv.artCols, artAt)
 			artAt++
@@ -365,13 +431,15 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 			}
 			// A redundant row is harmless: its artificial stays basic at 0.
 		}
-		// Blank artificial columns so they can never re-enter.
+		// Blank artificial columns so they can never re-enter; from here on
+		// no pivot can make them nonzero again, so scans stop before them.
 		for _, c := range sv.artCols {
 			for i := 0; i <= m; i++ {
 				sv.a[i][c] = 0
 			}
 			sv.ub[c] = 0
 		}
+		sv.live = n + nSlack
 	}
 
 	// Phase 2: restore the real objective in shifted/flipped space and price
@@ -383,9 +451,9 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 	}
 	for j := 0; j < n; j++ {
 		if sv.flip[j] {
-			objRow[j] = -p.C[j]
+			objRow[j] = -sv.c[j]
 		} else {
-			objRow[j] = p.C[j]
+			objRow[j] = sv.c[j]
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -424,25 +492,41 @@ func (sv *Solver) Solve(p *Problem) (*Solution, error) {
 	}
 	obj := 0.0
 	for j := 0; j < n; j++ {
-		obj += p.C[j] * sol.X[j]
+		obj += sv.c[j] * sol.X[j]
 	}
 	sol.Objective = obj
 	return sol, nil
 }
 
-// subtractRow does a[target] -= factor * a[row], including the RHS.
+// subtractRow does a[target] -= factor * a[row] over the live columns and
+// the RHS.
 func (sv *Solver) subtractRow(target, row int, factor float64) {
 	tr, sr := sv.a[target], sv.a[row]
-	for j := 0; j <= sv.n; j++ {
+	for j := 0; j < sv.live; j++ {
 		tr[j] -= factor * sr[j]
 	}
+	tr[sv.n] -= factor * sr[sv.n]
 }
 
-// pivot makes column col basic in row row.
+// pivot makes column col basic in row row. It divides and eliminates only
+// over the pivot row's nonzero columns: on the scheduling models a pivot
+// row holds about ten nonzeros among hundreds of columns. Every nonzero
+// entry receives exactly the operations, in the order, of a pass over all
+// columns; the operations skipped (0/pv and x − f·0) can at most change the
+// sign of a zero, which no pricing, ratio-test or extraction decision
+// distinguishes.
 func (sv *Solver) pivot(row, col int) {
 	pr := sv.a[row]
 	pv := pr[col]
-	for j := 0; j <= sv.n; j++ {
+	nz := sv.nz[:0]
+	for j := 0; j < sv.live; j++ {
+		if pr[j] != 0 {
+			nz = append(nz, j)
+		}
+	}
+	nz = append(nz, sv.n)
+	sv.nz = nz
+	for _, j := range nz {
 		pr[j] /= pv
 	}
 	pr[col] = 1 // exact
@@ -450,9 +534,12 @@ func (sv *Solver) pivot(row, col int) {
 		if i == row {
 			continue
 		}
-		if f := sv.a[i][col]; math.Abs(f) > 0 {
-			sv.subtractRow(i, row, f)
-			sv.a[i][col] = 0 // exact
+		tr := sv.a[i]
+		if f := tr[col]; math.Abs(f) > 0 {
+			for _, j := range nz {
+				tr[j] -= f * pr[j]
+			}
+			tr[col] = 0 // exact
 		}
 	}
 	sv.basis[row] = col
@@ -480,9 +567,10 @@ func (sv *Solver) flipLeavingRow(r int) {
 	l := sv.basis[r]
 	u := sv.ub[l]
 	row := sv.a[r]
-	for j := 0; j <= sv.n; j++ {
+	for j := 0; j < sv.live; j++ {
 		row[j] = -row[j]
 	}
+	row[sv.n] = -row[sv.n]
 	row[l] = 1
 	row[sv.n] += u
 	sv.flip[l] = !sv.flip[l]
@@ -510,7 +598,7 @@ func (sv *Solver) iterate(pivots *int) (Status, error) {
 		// blanked artificials) can never move and are skipped.
 		col := -1
 		best := -eps
-		for j := 0; j < sv.n; j++ {
+		for j := 0; j < sv.live; j++ {
 			rc := sv.a[sv.m][j]
 			if rc < -eps && sv.ub[j] > eps {
 				if bland {
@@ -589,6 +677,13 @@ func resize(s []float64, n int) []float64 {
 func resizeInt(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
+	}
+	return s[:n]
+}
+
+func resizeBool(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
 	}
 	return s[:n]
 }

@@ -147,6 +147,25 @@ func TestObjectiveLengthValidation(t *testing.T) {
 	}
 }
 
+// TestLongRowRejected: a row with more coefficients than variables is an
+// error from Load and Solve, not silently truncated, and a failed Load
+// leaves nothing for SolveLoaded to solve.
+func TestLongRowRejected(t *testing.T) {
+	p := NewProblem(2)
+	p.C = []float64{1, 1}
+	p.Rows = append(p.Rows, Constraint{Coef: []float64{1, 1, 1}, Sense: LE, RHS: 4, Name: "long"})
+	if _, err := Solve(p); err == nil {
+		t.Error("Solve accepted a row longer than NumVars")
+	}
+	sv := new(Solver)
+	if err := sv.Load(p); err == nil {
+		t.Error("Load accepted a row longer than NumVars")
+	}
+	if _, err := sv.SolveLoaded(nil, nil); err == nil {
+		t.Error("SolveLoaded solved after a failed Load")
+	}
+}
+
 func TestSenseAndStatusStrings(t *testing.T) {
 	if LE.String() != "<=" || EQ.String() != "==" || GE.String() != ">=" || Sense(9).String() != "?" {
 		t.Error("Sense strings wrong")
@@ -184,27 +203,30 @@ func TestChainModel(t *testing.T) {
 	}
 }
 
+// boxProblem is min c·x over the row-encoded box 0 ≤ x_k ≤ b_k%20 + 1.
+func boxProblem(c1, c2 int8, b1, b2 uint8) *Problem {
+	p := NewProblem(2)
+	p.C = []float64{float64(c1), float64(c2)}
+	p.AddBound(0, LE, float64(b1%20)+1, "")
+	p.AddBound(1, LE, float64(b2%20)+1, "")
+	return p
+}
+
 // Property: for random feasible box-constrained LPs, the reported optimum
 // respects all constraints and is not worse than a feasible corner we know.
 func TestRandomBoxProblems(t *testing.T) {
 	f := func(c1, c2 int8, b1, b2 uint8) bool {
-		ub1 := float64(b1%20) + 1
-		ub2 := float64(b2%20) + 1
-		p := NewProblem(2)
-		p.C = []float64{float64(c1), float64(c2)}
-		p.AddBound(0, LE, ub1, "")
-		p.AddBound(1, LE, ub2, "")
-		sol, err := Solve(p)
+		sol, err := Solve(boxProblem(c1, c2, b1, b2))
 		if err != nil || sol.Status != Optimal {
 			return false
 		}
 		// The optimum of min c·x over a box with x>=0 picks 0 or ub per sign.
 		want := 0.0
 		if c1 < 0 {
-			want += float64(c1) * ub1
+			want += float64(c1) * (float64(b1%20) + 1)
 		}
 		if c2 < 0 {
-			want += float64(c2) * ub2
+			want += float64(c2) * (float64(b2%20) + 1)
 		}
 		return almost(sol.Objective, want)
 	}
